@@ -20,6 +20,11 @@ with locally finite support (``project_measure`` / ``project_ft``), where the
 shell weight r_k(n) is replaced by the sum of mu-weights on the sphere of
 radius |lambda| and an origin mass feeds the delta'_0 / d^(k-2)_0 atom.
 
+Every comb here, and the shifted-lattice combs of ``guinand.formulas``, is
+built by one of two builders from an origin weight and per-shell weights:
+``sigma_comb`` for the sigma type (weight/|v| at +-v) and ``sigma_hat_comb``
+for the sigma_hat type (beta-weighted derivative atoms at +-v).
+
 Locations are sqrt(shell) with the shell kept exact (int or Fraction)
 alongside the float, so atoms on equal shells merge by exact comparison,
 never by float equality.  Pairing accumulates in ascending (location, order)
@@ -33,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import alpha, betas
+from .coeffs import _check_odd_k, alpha, betas
 from .schwartz import GaussPoly
 from .sumsq import rk_table
 from .util import CompensatedSum
@@ -99,9 +104,7 @@ def pair(comb: AtomComb, f: GaussPoly) -> complex:
     Summation runs in the comb's canonical (location, order) order with
     compensated accumulation.
     """
-    derivs = [f]
-    for _ in range(comb.max_order):
-        derivs.append(derivs[-1].derivative())
+    derivs = f.derivatives(comb.max_order)
     acc = CompensatedSum()
     for atom in comb.atoms:
         acc.add(atom.pair(derivs))
@@ -109,39 +112,39 @@ def pair(comb: AtomComb, f: GaussPoly) -> complex:
 
 
 # --------------------------------------------------------------------------
-# shell -> atoms helpers shared by the sigma builders and the projections
+# the two comb builders
 # --------------------------------------------------------------------------
 
-def _sigma_shell_atoms(v: float, shell, weight_sum: complex) -> list[Atom]:
-    # weight_sum/|v| (d_{+v} - d_{-v})
-    w = weight_sum / v
-    return [Atom(v, 0, w, shell), Atom(-v, 0, -w, shell)]
+def sigma_comb(k: int, origin: complex, shells: dict, **meta) -> AtomComb:
+    """-2 origin d'_0 + sum over shells of w/|v| (d_{+v} - d_{-v}), with
+    v = sqrt(shell) for each {exact shell: weight w}."""
+    atoms = [Atom(0.0, 1, -2 * origin, 0)] if origin != 0 else []
+    for nsq in sorted(shells):
+        v = math.sqrt(float(nsq))
+        w = shells[nsq] / v
+        atoms += [Atom(v, 0, w, nsq), Atom(-v, 0, -w, nsq)]
+    return make_comb(atoms, k=k, **meta)
 
 
-def _hat_shell_atoms(k: int, v: float, shell, base_by_j) -> list[Atom]:
-    # -i * base_j / v^(k-2) * v^j * ((-1)^j d^(j)_{+v} - d^(j)_{-v})
-    out = []
-    for j, base in enumerate(base_by_j):
-        mag = base * v ** j / v ** (k - 2)
-        out.append(Atom(v, j, (-1j) * (mag if j % 2 == 0 else -mag), shell))
-        out.append(Atom(-v, j, (1j) * mag, shell))
-    return out
-
-
-def _hat_origin_atom(k: int, b0: complex, alpha_f: float) -> Atom:
-    return Atom(0.0, k - 2, (2j * b0) * alpha_f, 0)
+def sigma_hat_comb(k: int, origin: complex, shells, **meta) -> AtomComb:
+    """2 i origin alpha_k d^(k-2)_0 - i sum over (shell, base_by_j) pairs of
+    sum_j base_j v^j / v^(k-2) ((-1)^j d^(j)_{+v} - d^(j)_{-v}), v = sqrt(shell)."""
+    atoms = [Atom(0.0, k - 2, (2j * origin) * alpha(k).to_float(), 0)] if origin != 0 else []
+    for nsq, base_by_j in shells:
+        v = math.sqrt(float(nsq))
+        for j, base in enumerate(base_by_j):
+            mag = base * v ** j / v ** (k - 2)
+            atoms += [Atom(v, j, (-1j) * (mag if j % 2 == 0 else -mag), nsq),
+                      Atom(-v, j, (1j) * mag, nsq)]
+    return make_comb(atoms, k=k, **meta)
 
 
 def sigma_k(k: int, N: int) -> AtomComb:
     """Truncation of sigma_k to shells n <= N (plus the origin atom)."""
-    _check_k(k)
-    table = rk_table(k, N)
-    atoms = [Atom(0.0, 1, complex(-2.0), 0)]
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if r:
-            atoms.extend(_sigma_shell_atoms(math.sqrt(n), n, complex(r)))
-    return make_comb(atoms, k=k, N=N, parity="odd")
+    _check_odd_k(k)
+    counts = rk_table(k, N).counts
+    shells = {n: complex(r) for n, r in enumerate(counts) if n and r}
+    return sigma_comb(k, complex(1.0), shells, N=N, parity="odd")
 
 
 def sigma_k_hat(k: int, N: int) -> AtomComb:
@@ -151,16 +154,12 @@ def sigma_k_hat(k: int, N: int) -> AtomComb:
     exact and converted to float once per atom; only the sqrt(n) powers are
     floating point.
     """
-    _check_k(k)
-    table = rk_table(k, N)
+    _check_odd_k(k)
+    counts = rk_table(k, N).counts
     beta_list = betas(k)
-    atoms = [_hat_origin_atom(k, complex(1.0), alpha(k).to_float())]
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if r:
-            base_by_j = [(r * b).to_float() for b in beta_list]
-            atoms.extend(_hat_shell_atoms(k, math.sqrt(n), n, base_by_j))
-    return make_comb(atoms, k=k, N=N, parity="odd")
+    shells = ((n, [(r * b).to_float() for b in beta_list])
+              for n, r in enumerate(counts) if n and r)
+    return sigma_hat_comb(k, complex(1.0), shells, N=N, parity="odd")
 
 
 # --------------------------------------------------------------------------
@@ -204,38 +203,21 @@ def _shells(mu: PointMeasure):
 
 def project_measure(mu: PointMeasure) -> AtomComb:
     """The 1-D comb -2 a(0) delta'_0 + sum a(lambda)/|lambda| (d_{|l|} - d_{-|l|})."""
-    _check_k(mu.k)
+    _check_odd_k(mu.k)
     a0, shells = _shells(mu)
-    atoms = []
-    if a0 != 0:
-        atoms.append(Atom(0.0, 1, -2 * a0, 0))
-    for nsq in sorted(shells):
-        v = math.sqrt(float(nsq))
-        atoms.extend(_sigma_shell_atoms(v, nsq, shells[nsq]))
-    return make_comb(atoms, k=mu.k, parity="odd")
+    return sigma_comb(mu.k, a0, shells, parity="odd")
 
 
 def project_ft(mu_hat: PointMeasure, k: int) -> AtomComb:
     """The 1-D comb for the transform: 2 i b(0) alpha_k d^(k-2)_0 minus the
     beta-weighted derivative atoms at +-|s| for each shell of mu_hat."""
-    _check_k(k)
+    _check_odd_k(k)
     if mu_hat.k != k:
         raise ValueError(f"measure dimension {mu_hat.k} != k = {k}")
     b0, shells = _shells(mu_hat)
     beta_floats = [b.to_float() for b in betas(k)]
-    atoms = []
-    if b0 != 0:
-        atoms.append(_hat_origin_atom(k, b0, alpha(k).to_float()))
-    for nsq in sorted(shells):
-        v = math.sqrt(float(nsq))
-        base_by_j = [shells[nsq] * bf for bf in beta_floats]
-        atoms.extend(_hat_shell_atoms(k, v, nsq, base_by_j))
-    return make_comb(atoms, k=k, parity="odd")
-
-
-def _check_k(k: int) -> None:
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
+    pairs = ((nsq, [shells[nsq] * bf for bf in beta_floats]) for nsq in sorted(shells))
+    return sigma_hat_comb(k, b0, pairs, parity="odd")
 
 
 # --------------------------------------------------------------------------

@@ -113,12 +113,13 @@ def _parse_grid(args) -> list[float]:
     return [a + i * step for i in range(count)]
 
 
-def _workcap() -> int | None:
+def _workcap(keyword: str) -> dict:
+    """{keyword: cap} when GUINAND_WORKCAP is set, else {}."""
     raw = os.environ.get("GUINAND_WORKCAP")
     if raw is None:
-        return None
+        return {}
     try:
-        return int(raw)
+        return {keyword: int(raw)}
     except ValueError:
         raise _UsageError(f"GUINAND_WORKCAP must be an integer, got {raw!r}") from None
 
@@ -128,9 +129,7 @@ def _workcap() -> int | None:
 # --------------------------------------------------------------------------
 
 def _cmd_rk(args) -> int:
-    cap = _workcap()
-    kwargs = {"table_cap": cap} if cap is not None else {}
-    table = sumsq.rk_table(args.k, args.nmax, **kwargs)
+    table = sumsq.rk_table(args.k, args.nmax, **_workcap("table_cap"))
     if args.format == "csv":
         _write_csv(args, ["n", "r_k"], list(enumerate(table.counts)))
     else:
@@ -142,14 +141,10 @@ def _cmd_rk(args) -> int:
 def _cmd_coeffs(args) -> int:
     a = coeffs.alpha(args.k)
     bs = coeffs.betas(args.k)
-    if args.format == "exact":
-        lines = [f"alpha({args.k}) = {a}"]
-        lines += [f"beta({j},{args.k}) = {b}" for j, b in enumerate(bs)]
-        _write(args, "\n".join(lines) + "\n")
-    elif args.format == "float":
-        lines = [f"alpha({args.k}) = {_fmt_float(a.to_float())}"]
-        lines += [f"beta({j},{args.k}) = {_fmt_float(b.to_float())}"
-                  for j, b in enumerate(bs)]
+    if args.format in ("exact", "float"):
+        show = str if args.format == "exact" else (lambda v: _fmt_float(v.to_float()))
+        lines = [f"alpha({args.k}) = {show(a)}"]
+        lines += [f"beta({j},{args.k}) = {show(b)}" for j, b in enumerate(bs)]
         _write(args, "\n".join(lines) + "\n")
     else:
         obj = {"k": args.k,
@@ -162,19 +157,16 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_verify(args) -> int:
     phi = _parse_phi(args.phi)
-    report = formulas.verify(args.k, phi, args.nmax, args.tol)
     if args.format == "csv":
-        rows = [(row["n"], row["r_k"],
-                 _fmt_float(row["lhs_term"].real), _fmt_float(row["lhs_term"].imag),
-                 _fmt_float(row["rhs_term"].real), _fmt_float(row["rhs_term"].imag),
-                 _fmt_float(row["lhs_partial"].real), _fmt_float(row["lhs_partial"].imag),
-                 _fmt_float(row["rhs_partial"].real), _fmt_float(row["rhs_partial"].imag))
-                for row in formulas.shell_table(args.k, phi, args.nmax)]
-        _write_csv(args, ["n", "r_k", "lhs_term_re", "lhs_term_im",
-                          "rhs_term_re", "rhs_term_im", "lhs_partial_re",
-                          "lhs_partial_im", "rhs_partial_re", "rhs_partial_im"],
-                   rows)
+        report, shells = formulas._verify(args.k, phi, args.nmax)
+        columns = ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")
+        header = ["n", "r_k"] + [f"{col}_{part}" for col in columns for part in ("re", "im")]
+        rows = [[row["n"], row["r_k"]] + [_fmt_float(x) for col in columns
+                                          for x in (row[col].real, row[col].imag)]
+                for row in shells]
+        _write_csv(args, header, rows)
     else:
+        report = formulas.verify(args.k, phi, args.nmax, args.tol)
         _write(args, _to_json(report.to_dict()) + "\n")
     return 0 if report.rel_residual <= args.tol else 2
 
@@ -183,10 +175,8 @@ def _cmd_verify_shifted(args) -> int:
     phi = _parse_phi(args.phi)
     eta = _parse_vector(args.eta)
     xi = _parse_vector(args.xi)
-    cap = _workcap()
-    kwargs = {"cap": cap} if cap is not None else {}
     report = formulas.verify_shifted(args.k, eta, xi, phi, args.r_time,
-                                     args.r_freq, args.tol, **kwargs)
+                                     args.r_freq, args.tol, **_workcap("cap"))
     _write(args, _to_json(report.to_dict()) + "\n")
     return 0 if report.rel_residual <= args.tol else 2
 
@@ -330,19 +320,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except ParseError as exc:  # a ValueError, so it must come first
         print(f"parse error at byte {exc.offset}: {exc.reason}", file=sys.stderr)
         return 1
-    except WorkCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, WorkCapExceeded, QuadratureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,9 +113,10 @@ class ScaledRational:
         return f"{rat} * {pi}"
 
 
-def _check_odd_k(k: int) -> None:
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
+def _check_odd_k(k: int, minimum: int = 3) -> None:
+    """The one dimension check of the package: k odd and at least ``minimum``."""
+    if k < minimum or k % 2 == 0:
+        raise ValueError(f"k must be an odd integer >= {minimum}, got {k}")
 
 
 def alpha(k: int) -> ScaledRational:

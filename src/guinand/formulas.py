@@ -8,9 +8,12 @@ odd k >= 3, the identity under test is
         + i sum_{n>=1} r_k(n)/n^((k-2)/2)
             sum_{j=0}^{(k-3)/2} beta_jk n^(j/2) psi^(j)(sqrt n).
 
-``verify`` evaluates both sides at a truncation N, reports absolute and
-relative residuals, and attaches certified bounds on the discarded tails.
-For k = 3 and k = 5 it additionally evaluates the specialized explicit
+Each side has one term builder over the shells of an r_k table
+(``_lhs_terms``, ``_rhs_terms``).  ``verify`` builds the table once, feeds
+both builders, and reports the sums at truncation N with absolute and
+relative residuals and certified bounds on the discarded tails;
+``lhs_general``, ``rhs_general`` and ``shell_table`` sum the same terms.
+For k = 3 and k = 5 ``verify`` additionally evaluates the specialized explicit
 forms (i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n), and the
 psi - sqrt(n) psi' combination with prefactor i/(2 pi), written with their
 literal constants rather than through the coefficient machinery) and
@@ -27,15 +30,18 @@ has transform
         e^{-2 pi i <m,eta>}/|m+xi|^(k-2)
         sum_j beta_jk |m+xi|^j ((-1)^j d^(j)_{|m+xi|} - d^(j)_{-|m+xi|}).
 
-Both sides are evaluated through the atom-comb pairing.  Since psi_hat is
-the reflection of phi and both distributions are odd, <sigma, phi> equals
-minus the pairing of the sigma_hat comb against psi, which is how the
-right-hand side is computed.
+Both sides are evaluated through the atom-comb pairing, with combs from the
+two builders of ``guinand.atoms``.  Since psi_hat is the reflection of phi
+and both distributions are odd, <sigma, phi> equals minus the pairing of
+the sigma_hat comb against psi, which is how the right-hand side is
+computed.
 
 Tail policy (ours; the identities themselves say nothing about rates): the
 discarded shells are dominated by r_k(n) <= (2 sqrt(n) + 1)^k times the
 term's explicit polynomial-times-Gaussian envelope, summed with a geometric
-remainder certificate once the stepwise ratio bound drops below one.
+remainder certificate once the stepwise ratio bound drops below one; the
+lattice tails of the shifted case run the same way over radius bands.  One
+routine bounds the beta-weighted right-hand tail for either kind of tail.
 Bounds below 1e-300 are clamped to zero.
 """
 
@@ -43,15 +49,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .atoms import make_comb, pair, _hat_shell_atoms, _sigma_shell_atoms
-from .coeffs import alpha, betas
+from .atoms import pair, sigma_comb, sigma_hat_comb
+from .coeffs import _check_odd_k, alpha, betas
 from .errors import WorkCapExceeded
 from .schwartz import GaussPoly
 from .sumsq import rk_table
-from .util import CompensatedSum, rel_diff
+from .util import CompensatedSum, comp_sum, rel_diff
 
 __all__ = [
     "VerificationReport", "lhs_general", "rhs_general", "verify",
@@ -80,18 +86,7 @@ class VerificationReport:
     truncation: dict
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "k": self.k,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "tail_bound_lhs": self.tail_bound_lhs,
-            "tail_bound_rhs": self.tail_bound_rhs,
-            "terms_used": self.terms_used,
-            "truncation": dict(self.truncation),
-        }
+        return asdict(self)
 
 
 def _require_odd_phi(phi: GaussPoly) -> None:
@@ -100,47 +95,50 @@ def _require_odd_phi(phi: GaussPoly) -> None:
                          "apply odd_part first")
 
 
-def _check_k(k: int) -> None:
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
+# --------------------------------------------------------------------------
+# the sqrt(n)-node series: one term builder per side
+# --------------------------------------------------------------------------
+
+def _lhs_terms(phi: GaussPoly, counts) -> list[tuple[int, int, complex]]:
+    """(n, r_k(n), term) for the left-hand series: (0, 1, phi'(0)), then
+    r_k(n)/sqrt(n) phi(sqrt n) for each nonempty shell, ascending n."""
+    terms = [(0, 1, phi.derivative().eval(0.0))]
+    for n, r in enumerate(counts):
+        if n and r:
+            s = math.sqrt(n)
+            terms.append((n, r, r / s * phi.eval(s)))
+    return terms
+
+
+def _rhs_terms(k: int, psi: GaussPoly, counts) -> list[tuple[int, int, complex]]:
+    """(n, r_k(n), term) for the right-hand series: (0, 1, i alpha_k
+    psi^(k-2)(0)), then i r_k(n)/n^((k-2)/2) sum_j beta_jk n^(j/2)
+    psi^(j)(sqrt n) for each nonempty shell, ascending n."""
+    beta_f = [b.to_float() for b in betas(k)]
+    derivs = psi.derivatives(k - 2)
+    terms = [(0, 1, 1j * alpha(k).to_float() * derivs[k - 2].eval(0.0))]
+    for n, r in enumerate(counts):
+        if n and r:
+            s = math.sqrt(n)
+            inner = CompensatedSum()
+            for j, bf in enumerate(beta_f):
+                inner.add(bf * s ** j * derivs[j].eval(s))
+            terms.append((n, r, 1j * (r / s ** (k - 2)) * inner.total))
+    return terms
 
 
 def lhs_general(k: int, phi: GaussPoly, N: int) -> complex:
     """phi'(0) + sum_{n<=N} r_k(n)/sqrt(n) phi(sqrt n), ascending n."""
-    _check_k(k)
+    _check_odd_k(k)
     _require_odd_phi(phi)
-    table = rk_table(k, N)
-    acc = CompensatedSum()
-    acc.add(phi.derivative().eval(0.0))
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if r:
-            s = math.sqrt(n)
-            acc.add(r / s * phi.eval(s))
-    return acc.total
+    return comp_sum(term for _, _, term in _lhs_terms(phi, rk_table(k, N).counts))
 
 
 def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
     """i alpha_k psi^(k-2)(0) + i sum_{n<=N} r_k(n)/n^((k-2)/2)
     sum_j beta_jk n^(j/2) psi^(j)(sqrt n), ascending n."""
-    _check_k(k)
-    table = rk_table(k, N)
-    beta_f = [b.to_float() for b in betas(k)]
-    derivs = [psi]
-    for _ in range(k - 2):
-        derivs.append(derivs[-1].derivative())
-    acc = CompensatedSum()
-    acc.add(1j * alpha(k).to_float() * derivs[k - 2].eval(0.0))
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if not r:
-            continue
-        s = math.sqrt(n)
-        inner = CompensatedSum()
-        for j, bf in enumerate(beta_f):
-            inner.add(bf * s ** j * derivs[j].eval(s))
-        acc.add(1j * (r / s ** (k - 2)) * inner.total)
-    return acc.total
+    _check_odd_k(k)
+    return comp_sum(term for _, _, term in _rhs_terms(k, psi, rk_table(k, N).counts))
 
 
 def _rhs_explicit_k3(psi: GaussPoly, N: int) -> complex:
@@ -171,6 +169,54 @@ def _rhs_explicit_k5(psi: GaussPoly, N: int) -> complex:
     return acc.total
 
 
+def _shell_rows(lhs_terms, rhs_terms) -> list[dict]:
+    """Rows of matching terms with the running partial sums of both sides.
+
+    Row n = 0 reports each origin term as its accumulator's total, which
+    normalizes the sign of a zero part."""
+    lhs_acc, rhs_acc = CompensatedSum(), CompensatedSum()
+    rows = []
+    for (n, r, lt), (_, _, rt) in zip(lhs_terms, rhs_terms):
+        lhs_acc.add(lt)
+        rhs_acc.add(rt)
+        lhs, rhs = lhs_acc.total, rhs_acc.total
+        if not n:
+            lt, rt = lhs, rhs
+        rows.append({"n": n, "r_k": r, "lhs_term": lt, "rhs_term": rt,
+                     "lhs_partial": lhs, "rhs_partial": rhs})
+    return rows
+
+
+def _verify(k: int, phi: GaussPoly, N: int) -> tuple[VerificationReport, list[dict]]:
+    """``verify`` and its ``shell_table`` rows, from one r_k table."""
+    _check_odd_k(k)
+    _require_odd_phi(phi)
+    psi = phi.fourier()
+    counts = rk_table(k, N).counts
+    rows = _shell_rows(_lhs_terms(phi, counts), _rhs_terms(k, psi, counts))
+    lhs, rhs = rows[-1]["lhs_partial"], rows[-1]["rhs_partial"]
+    explicit = {3: _rhs_explicit_k3, 5: _rhs_explicit_k5}.get(k)
+    if explicit is not None:
+        special = explicit(psi, N)
+        if rel_diff(special, rhs) > _SPECIAL_FORM_RTOL:
+            raise ValueError(f"specialized k={k} form disagrees with the general "
+                             f"path: {special!r} vs {rhs!r}")
+    identity = {3: "guinand", 5: "k5"}.get(k, "general-k")
+    report = VerificationReport(
+        identity=identity,
+        k=k,
+        lhs=lhs,
+        rhs=rhs,
+        abs_residual=abs(lhs - rhs),
+        rel_residual=rel_diff(lhs, rhs),
+        tail_bound_lhs=tail_bound(k, phi, N),
+        tail_bound_rhs=_beta_tail(k, psi, N, _sqrtn_tail),
+        terms_used=len(rows) - 1,
+        truncation={"N": N},
+    )
+    return report, rows
+
+
 def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N, tol: float = 1e-9) -> VerificationReport:
     """Evaluate both sides at truncation N and report residuals.
 
@@ -179,68 +225,15 @@ def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N, tol: float = 1e-9) -> Ver
     relative; a mismatch raises, since it would mean the coefficient
     machinery and the literal constants disagree.
     """
-    _check_k(k)
-    _require_odd_phi(phi)
-    psi = phi.fourier()
-    lhs = lhs_general(k, phi, N)
-    rhs = rhs_general(k, psi, N)
-    if k == 3:
-        special = _rhs_explicit_k3(psi, N)
-    elif k == 5:
-        special = _rhs_explicit_k5(psi, N)
-    else:
-        special = None
-    if special is not None and rel_diff(special, rhs) > _SPECIAL_FORM_RTOL:
-        raise ValueError(
-            f"specialized k={k} form disagrees with the general path: "
-            f"{special!r} vs {rhs!r}")
-    table = rk_table(k, N)
-    identity = {3: "guinand", 5: "k5"}.get(k, "general-k")
-    return VerificationReport(
-        identity=identity,
-        k=k,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs(lhs - rhs),
-        rel_residual=rel_diff(lhs, rhs),
-        tail_bound_lhs=tail_bound(k, phi, N),
-        tail_bound_rhs=_rhs_tail_bound(k, psi, N),
-        terms_used=sum(1 for n in range(1, N + 1) if table.counts[n]),
-        truncation={"N": N},
-    )
+    return _verify(k, phi, N)[0]
 
 
 def shell_table(k: int, phi: GaussPoly, N: int) -> list[dict]:
     """Per-shell terms and running partial sums of both sides (plot data)."""
-    _check_k(k)
+    _check_odd_k(k)
     _require_odd_phi(phi)
-    psi = phi.fourier()
-    table = rk_table(k, N)
-    beta_f = [b.to_float() for b in betas(k)]
-    derivs = [psi]
-    for _ in range((k - 3) // 2):
-        derivs.append(derivs[-1].derivative())
-    lhs_acc = CompensatedSum()
-    lhs_acc.add(phi.derivative().eval(0.0))
-    rhs_acc = CompensatedSum()
-    rhs_acc.add(1j * alpha(k).to_float() * psi.derivative(k - 2).eval(0.0))
-    rows = [{"n": 0, "r_k": 1, "lhs_term": lhs_acc.total, "rhs_term": rhs_acc.total,
-             "lhs_partial": lhs_acc.total, "rhs_partial": rhs_acc.total}]
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if not r:
-            continue
-        s = math.sqrt(n)
-        lt = r / s * phi.eval(s)
-        inner = CompensatedSum()
-        for j, bf in enumerate(beta_f):
-            inner.add(bf * s ** j * derivs[j].eval(s))
-        rt = 1j * (r / s ** (k - 2)) * inner.total
-        lhs_acc.add(lt)
-        rhs_acc.add(rt)
-        rows.append({"n": n, "r_k": r, "lhs_term": lt, "rhs_term": rt,
-                     "lhs_partial": lhs_acc.total, "rhs_partial": rhs_acc.total})
-    return rows
+    counts = rk_table(k, N).counts
+    return _shell_rows(_lhs_terms(phi, counts), _rhs_terms(k, phi.fourier(), counts))
 
 
 # --------------------------------------------------------------------------
@@ -278,33 +271,21 @@ def _sqrtn_tail(k: int, pieces, N: int) -> float:
     return 0.0 if total < 1e-300 else total
 
 
-def _envelope_pieces(f: GaussPoly, extra_half_power: int):
-    # (C, p, a) with the term C * n^(p/2) * e^(-pi a n) at node sqrt(n)
-    pieces = []
-    for a, abscoeffs in f.abs_envelope():
-        for m, c in enumerate(abscoeffs):
-            if c:
-                pieces.append((c, m + extra_half_power, a))
-    return pieces
-
-
 def tail_bound(k: int, f: GaussPoly, N: int) -> float:
     """Certified bound on the discarded left-hand tail
     sum_{n>N} r_k(n) n^(-1/2) |f|(sqrt n)."""
-    _check_k(k)
-    return _sqrtn_tail(k, _envelope_pieces(f, -1), N)
+    _check_odd_k(k)
+    return _sqrtn_tail(k, f.envelope(-1), N)
 
 
-def _rhs_tail_bound(k: int, psi: GaussPoly, N: int) -> float:
-    beta_f = [abs(b.to_float()) for b in betas(k)]
-    derivs = [psi]
-    for _ in range((k - 3) // 2):
-        derivs.append(derivs[-1].derivative())
+def _beta_tail(k: int, psi: GaussPoly, cut: float, tail) -> float:
+    """Bound on the discarded right-hand tail, sum_j |beta_jk| times the
+    tail of |psi^(j)| u^(j-(k-2)) past ``cut``; ``tail`` is ``_sqrtn_tail``
+    (shells n > cut) or ``_radius_tail`` (lattice radii > cut)."""
     total = 0.0
-    for j, bf in enumerate(beta_f):
-        pieces = [(bf * C, p, a)
-                  for C, p, a in _envelope_pieces(derivs[j], j - (k - 2))]
-        total += _sqrtn_tail(k, pieces, N)
+    for j, (b, d) in enumerate(zip(betas(k), psi.derivatives((k - 3) // 2))):
+        bf = abs(b.to_float())
+        total += tail(k, [(bf * C, p, a) for C, p, a in d.envelope(j - (k - 2))], cut)
     return 0.0 if total < 1e-300 else total
 
 
@@ -368,7 +349,7 @@ def _shifted_points(k, eta, R, cap):
 
 def shifted_nodes(k: int, eta, R: float, *, cap: int = DEFAULT_LATTICE_CAP):
     """Lattice points m with |m + eta| <= R and their node radii |m + eta|."""
-    _check_k(k)
+    _check_odd_k(k)
     eta = _check_shift(k, eta)
     return [{"m": m, "node": math.sqrt(float(nsq))}
             for m, nsq in _shifted_points(k, eta, R, cap)]
@@ -388,41 +369,35 @@ def _phase(dot: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(frac))
 
 
+def _phase_shells(k, shift, dual, R, cap) -> dict:
+    """{exact |m+shift|^2: sum of e^(2 pi i <m,dual>)} over |m+shift| <= R."""
+    shells: dict = {}
+    for m, nsq in _shifted_points(k, shift, R, cap):
+        dot = sum(mi * x for mi, x in zip(m, dual))
+        shells[nsq] = shells.get(nsq, 0j) + _phase(dot)
+    return shells
+
+
 def _shifted_sigma(k, eta, xi, R, cap):
     """Truncated time-side comb: sum e^(2 pi i <m,xi>)/|m+eta| (d_v - d_-v)."""
-    shells: dict = {}
-    for m, nsq in _shifted_points(k, eta, R, cap):
-        dot = sum(mi * x for mi, x in zip(m, xi))
-        shells[nsq] = shells.get(nsq, 0j) + _phase(dot)
-    atoms = []
-    for nsq in sorted(shells):
-        v = math.sqrt(float(nsq))
-        atoms.extend(_sigma_shell_atoms(v, nsq, shells[nsq]))
-    return make_comb(atoms, k=k, R=float(R), parity="odd")
+    return sigma_comb(k, 0, _phase_shells(k, eta, xi, R, cap), R=float(R), parity="odd")
 
 
 def _shifted_sigma_hat(k, eta, xi, R, cap):
     """Truncated transform comb, prefactor -i e^(-2 pi i <eta,xi>) included
-    (the -i lives inside the shell-atom helper)."""
+    (the -i lives inside the comb builder)."""
     prefactor = _phase(-sum(e * x for e, x in zip(eta, xi)))
     beta_f = [b.to_float() for b in betas(k)]
-    shells: dict = {}
-    for m, nsq in _shifted_points(k, xi, R, cap):
-        dot = sum(mi * e for mi, e in zip(m, eta))
-        shells[nsq] = shells.get(nsq, 0j) + _phase(-dot)
-    atoms = []
-    for nsq in sorted(shells):
-        v = math.sqrt(float(nsq))
-        base_by_j = [prefactor * shells[nsq] * bf for bf in beta_f]
-        atoms.extend(_hat_shell_atoms(k, v, nsq, base_by_j))
-    return make_comb(atoms, k=k, R=float(R), parity="none")
+    shells = _phase_shells(k, xi, tuple(-e for e in eta), R, cap)
+    pairs = ((nsq, [prefactor * shells[nsq] * bf for bf in beta_f]) for nsq in sorted(shells))
+    return sigma_hat_comb(k, 0, pairs, R=float(R), parity="none")
 
 
 def shifted_lhs_direct(k: int, eta, xi, phi: GaussPoly, R: float,
                        *, cap: int = DEFAULT_LATTICE_CAP) -> complex:
     """<sigma, phi> summed directly over lattice points (no comb), as an
     independent route for cross-checking the comb pairing."""
-    _check_k(k)
+    _check_odd_k(k)
     eta = _check_shift(k, eta)
     xi = _check_shift(k, xi)
     acc = CompensatedSum()
@@ -443,7 +418,7 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
     sigma_hat against psi equals <sigma, psi_hat> = -<sigma, phi> because
     psi_hat is the reflection of phi and sigma is odd.
     """
-    _check_k(k)
+    _check_odd_k(k)
     eta = _check_shift(k, eta)
     xi = _check_shift(k, xi)
     _require_odd_phi(phi)
@@ -459,18 +434,11 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
         rhs=rhs,
         abs_residual=abs(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
-        tail_bound_lhs=_radius_tail(k, _envelope_pieces_u(phi, -1), R_time),
-        tail_bound_rhs=_shifted_rhs_tail(k, psi, R_freq),
+        tail_bound_lhs=_radius_tail(k, phi.envelope(-1), R_time),
+        tail_bound_rhs=_beta_tail(k, psi, R_freq, _radius_tail),
         terms_used=len(time_comb.atoms) + len(freq_comb.atoms),
         truncation={"R_time": float(R_time), "R_freq": float(R_freq)},
     )
-
-
-def _envelope_pieces_u(f: GaussPoly, extra_power: int):
-    # (C, p, a) with the bound C * u^p * e^(-pi a u^2) at radius u
-    return [(c, m + extra_power, a)
-            for a, abscoeffs in f.abs_envelope()
-            for m, c in enumerate(abscoeffs) if c]
 
 
 def _radius_tail(k: int, pieces, R: float) -> float:
@@ -509,15 +477,3 @@ def _radius_tail(k: int, pieces, R: float) -> float:
         total += sub
     return 0.0 if total < 1e-300 else total
 
-
-def _shifted_rhs_tail(k: int, psi: GaussPoly, R: float) -> float:
-    beta_f = [abs(b.to_float()) for b in betas(k)]
-    derivs = [psi]
-    for _ in range((k - 3) // 2):
-        derivs.append(derivs[-1].derivative())
-    total = 0.0
-    for j, bf in enumerate(beta_f):
-        pieces = [(bf * C, p, a)
-                  for C, p, a in _envelope_pieces_u(derivs[j], j - (k - 2))]
-        total += _radius_tail(k, pieces, R)
-    return 0.0 if total < 1e-300 else total

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import (
-    PI_50, ScaledRational, alpha, bessel_poly, betas, double_factorial,
+    PI_50, ScaledRational, _check_odd_k, alpha, bessel_poly, betas, double_factorial,
 )
 from .errors import QuadratureError
 from .schwartz import GaussPoly, PiScalar, _is_zero_coeff
@@ -84,11 +84,6 @@ __all__ = [
     "sphere_ft_besselpoly", "sphere_ft_value", "sphere_area",
     "bk_recurrence_check", "grid_rows", "SPHERE_METHODS",
 ]
-
-
-def _check_odd_k(k: int, minimum: int = 3) -> None:
-    if k < minimum or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= {minimum}, got {k}")
 
 
 def _require_even(f: GaussPoly) -> None:
@@ -113,6 +108,15 @@ _MILLER_GROWTH = 1e10
 def _beta_floats(k: int) -> tuple[float, ...]:
     """beta_jk rounded once each (``ScaledRational.to_float``), per k."""
     return tuple(b.to_float() for b in betas(k))
+
+
+def _profile_argument(t: float, form: str) -> tuple[float, float]:
+    """(u, z) = (|t|, 2 pi |t|): s_k is even, and each route's formula is
+    singular at t = 0, where s_k(0) is the sphere area."""
+    if t == 0:
+        raise ValueError(f"{form} is not defined at t = 0; use sphere_area")
+    u = abs(t)
+    return u, 2.0 * math.pi * u
 
 
 def _small_argument(k: int, z: float) -> bool:
@@ -214,10 +218,7 @@ def sphere_ft_closed(k: int, t: float) -> float:
     fixed point and rounded once (see module docstring).
     """
     _check_odd_k(k)
-    if t == 0:
-        raise ValueError("closed form is not defined at t = 0; use sphere_area")
-    u = abs(t)
-    z = 2.0 * math.pi * u
+    u, z = _profile_argument(t, "closed form")
     if _small_argument(k, z):
         bs = betas(k)
         m = len(bs) - 1
@@ -253,13 +254,10 @@ def sphere_ft_bessel(k: int, t: float) -> float:
     roundoff, Miller's backward recurrence runs instead on q_mu =
     (z/2)^(-mu) J_mu, q_(mu-1) = mu q_mu - (z/2)^2 q_(mu+1), normalized
     against the seed with the larger trigonometric factor; then
-    s_k = 2 pi^(nu+1) q_nu.
+    s_k = 2 pi^(nu+1) q_nu.  s_k is even, so t < 0 gives the value at |t|.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be a positive odd integer, got {k}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    z = 2.0 * math.pi * t
+    _check_odd_k(k, minimum=1)
+    u, z = _profile_argument(t, "Bessel form")
     target = (k - 2) / 2.0
     if _small_argument(k, z):
         h = 0.25 * z * z
@@ -290,7 +288,7 @@ def sphere_ft_bessel(k: int, t: float) -> float:
             j_lo, j_hi = j_hi, (2.0 * nu / z) * j_hi - j_lo
             nu += 1.0
             jn = j_hi
-    return 2.0 * math.pi * t ** (-target) * jn
+    return 2.0 * math.pi * u ** (-target) * jn
 
 
 def sphere_ft_recurrence(k: int, t: float) -> float:
@@ -302,10 +300,7 @@ def sphere_ft_recurrence(k: int, t: float) -> float:
     past k, and is normalized against s_1 or s_3, whichever has the larger
     trigonometric factor."""
     _check_odd_k(k, minimum=5)
-    if t == 0:
-        raise ValueError("recurrence is not defined at t = 0")
-    u = abs(t)
-    z = 2.0 * math.pi * u
+    u, z = _profile_argument(t, "recurrence")
     if _small_argument(k, z):
         a = 2.0 * math.pi * u * u
         j = round(2.0 * _miller_start((k - 2) / 2.0, z)) + 2
@@ -335,11 +330,8 @@ def sphere_ft_besselpoly(k: int, t: float) -> float:
     e^(iz) / 2^n is evaluated exactly in fixed point (Horner on the integer
     coefficients) and rounded once (see module docstring)."""
     _check_odd_k(k)
-    if t == 0:
-        raise ValueError("Bessel-polynomial form is not defined at t = 0")
-    u = abs(t)
+    u, z = _profile_argument(t, "Bessel-polynomial form")
     n = (k - 3) // 2
-    z = 2.0 * math.pi * u
     theta = bessel_poly(n)
     if _small_argument(k, z):
         coeffs = theta.coeffs
@@ -551,9 +543,7 @@ def _gaussian_cutoff(f: GaussPoly, k: int, bound: float) -> float:
     for R past the integrand's peak.
     """
     area_cap = sphere_area(k).to_float() if k >= 3 else 2.0
-    pieces = [(c, m + k - 1, a)
-              for a, abscoeffs in f.abs_envelope()
-              for m, c in enumerate(abscoeffs) if c]
+    pieces = f.envelope(k - 1)
     if not pieces:
         return 1.0
     R = 1.0

@@ -301,6 +301,13 @@ class GaussPoly:
             f = GaussPoly(out, exact=f.exact)
         return f
 
+    def derivatives(self, order: int) -> list["GaussPoly"]:
+        """[f, f', ..., f^(order)], each step one ``derivative`` of the last."""
+        out = [self]
+        for _ in range(order):
+            out.append(out[-1].derivative())
+        return out
+
     def fourier(self) -> "GaussPoly":
         """Exact transform in the same algebra.
 
@@ -365,11 +372,12 @@ class GaussPoly:
                    for _, coeffs in self.terms
                    for m, c in enumerate(coeffs) if m % 2 == 1)
 
-    def abs_envelope(self) -> list[tuple[float, list[float]]]:
-        """Per term (a, [|c_0|, |c_1|, ...]) as floats; |f(t)| is bounded by
-        sum over terms of sum_m |c_m| |t|^m exp(-pi a t^2)."""
-        return [(float(a), [abs(complex(c)) for c in coeffs])
-                for a, coeffs in self.terms]
+    def envelope(self, shift: int = 0) -> list[tuple[float, int, float]]:
+        """Pieces (|c_m|, m + shift, a) over the nonzero coefficients, as
+        floats: |f(t)| |t|^shift <= sum |c_m| |t|^(m+shift) exp(-pi a t^2)."""
+        return [(c, m + shift, float(a))
+                for a, coeffs in self.terms
+                for m, c in enumerate(abs(complex(x)) for x in coeffs) if c]
 
     # ---- formatting --------------------------------------------------------
 

@@ -129,6 +129,29 @@ def test_shell_table_partials_converge():
     assert abs(rows[-1]["rhs_partial"] - PINNED) < 1e-10
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_builds_each_table_once(monkeypatch, capsys, fmt):
+    # one r_k table feeds both sides, the shell rows and terms_used; k = 3
+    # and 5 build a second one for the literal-constant cross-check
+    from guinand import formulas
+    from guinand.cli import main
+
+    build = formulas.rk_table
+    calls = []
+
+    def counting(k, max_n, **kwargs):
+        calls.append((k, max_n))
+        return build(k, max_n, **kwargs)
+
+    monkeypatch.setattr(formulas, "rk_table", counting)
+    for k in (3, 5, 7, 9, 11):
+        calls.clear()
+        assert main(["verify", "--k", str(k), "--phi", "t*exp(-pi*t^2/2)",
+                     "--nmax", "60", "--format", fmt]) == 0
+        assert calls == [(k, 60)] * (2 if k in (3, 5) else 1), (k, fmt)
+    capsys.readouterr()
+
+
 # ---- tails ------------------------------------------------------------------
 
 def test_tail_bound_underflows_to_zero():

@@ -1,0 +1,83 @@
+"""Property-based checks of the algebra and of the shell-sum kernel.
+
+Random odd phi and arbitrary f are drawn from the GaussPoly algebra; the
+examples are derandomized so that every run checks the same cases.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from guinand.formulas import lhs_general, rhs_general, shell_table, verify
+from guinand.schwartz import GaussPoly, parse
+
+settings.register_profile("guinand", max_examples=40, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("guinand")
+
+# scales with rational square roots, so exact transforms stay exact
+EXACT_SCALES = [Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4)]
+
+
+@st.composite
+def odd_phis(draw):
+    """Float-mode odd phi: odd powers up to t^7, small integer coefficients."""
+    terms = []
+    for a in draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1,
+                           max_size=2, unique=True)):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+        poly = [0.0] * (2 * len(coeffs))
+        for i, c in enumerate(coeffs):
+            poly[2 * i + 1] = float(c)
+        terms.append((a, poly))
+    phi = GaussPoly(terms)
+    return phi if not phi.is_zero else GaussPoly([(1.0, [0.0, 1.0])])
+
+
+@st.composite
+def exact_polys(draw):
+    terms = [(a, draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                               min_size=1, max_size=5)))
+             for a in draw(st.lists(st.sampled_from(EXACT_SCALES), min_size=1,
+                                    max_size=2, unique=True))]
+    return GaussPoly(terms, exact=True)
+
+
+@st.composite
+def float_polys(draw):
+    terms = [(a, draw(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                                  max_magnitude=1e150),
+                               min_size=1, max_size=6)))
+             for a in draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                                    min_size=1, max_size=3, unique=True))]
+    return GaussPoly(terms)
+
+
+@given(odd_phis(), st.sampled_from([3, 5, 7, 9, 11]), st.integers(1, 60))
+def test_shell_table_ends_at_verify_sums(phi, k, N):
+    rep = verify(k, phi, N)
+    last = shell_table(k, phi, N)[-1]
+    assert (last["lhs_partial"], last["rhs_partial"]) == (rep.lhs, rep.rhs)
+    assert lhs_general(k, phi, N) == rep.lhs
+    assert rhs_general(k, phi.fourier(), N) == rep.rhs
+
+
+@given(exact_polys())
+def test_double_transform_is_reflection(f):
+    assert f.fourier().fourier() == f.reflect()
+
+
+@given(float_polys())
+def test_to_expr_parses_back(f):
+    assert parse(f.to_expr()).value == f
+
+
+@given(float_polys(), st.floats(min_value=1e-3, max_value=10.0), st.booleans(),
+       st.sampled_from([-1, 0, 2]))
+def test_envelope_bounds_the_function(f, u, negative, shift):
+    t = -u if negative else u
+    bound = math.fsum(c * u ** p * math.exp(-math.pi * a * t * t)
+                      for c, p, a in f.envelope(shift))
+    assert abs(f.eval(t)) * u ** shift <= bound * (1 + 1e-12)

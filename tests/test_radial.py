@@ -129,6 +129,23 @@ def test_sphere_besselpoly_examples():
     assert abs(sphere_ft_besselpoly(7, 0.35) - S_7_AT_035) < 1e-12 * S_7_AT_035
 
 
+def test_sphere_routes_accept_negative_t(capsys):
+    # s_k is even: every route gives the value at |t|, and t = 0 is refused
+    for k in (5, 7, 11):
+        for t in (0.05, 0.5, 1.7):
+            want = sphere_ft_closed(k, t)
+            for name, fn in SPHERE_METHODS.items():
+                assert fn(k, -t) == fn(k, t), (name, k, t)
+                assert abs(fn(k, -t) - want) <= 1e-12 * max(1.0, abs(want)), (name, k, t)
+    for fn in SPHERE_METHODS.values():
+        with pytest.raises(ValueError, match="t = 0"):
+            fn(5, 0.0)
+    assert abs(sphere_ft_bessel(5, -0.5) - 8.0) < 1e-14
+    from guinand.cli import main
+    assert main(["sphere-ft", "--k", "5", "--t", "-0.5"]) == 0
+    capsys.readouterr()
+
+
 def test_sphere_routes_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
