@@ -84,7 +84,7 @@ def make_comb(atoms, **meta) -> AtomComb:
     merged: dict = {}
     for a in atoms:
         if a.shell is not None:
-            key = ("shell", a.location < 0, Fraction(a.shell), a.order)
+            key = ("shell", a.location < 0, a.shell, a.order)
         else:
             key = ("float", a.location, a.order)
         if key in merged:

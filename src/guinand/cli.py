@@ -73,10 +73,7 @@ def _write(args, text: str) -> None:
 
 def _write_csv(args, header, rows) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     _write(args, buf.getvalue())
 
 
@@ -166,7 +163,7 @@ def _cmd_verify(args) -> int:
                 for row in shells]
         _write_csv(args, header, rows)
     else:
-        report = formulas.verify(args.k, phi, args.nmax, args.tol)
+        report = formulas.verify(args.k, phi, args.nmax)
         _write(args, _to_json(report.to_dict()) + "\n")
     return 0 if report.rel_residual <= args.tol else 2
 
@@ -176,7 +173,7 @@ def _cmd_verify_shifted(args) -> int:
     eta = _parse_vector(args.eta)
     xi = _parse_vector(args.xi)
     report = formulas.verify_shifted(args.k, eta, xi, phi, args.r_time,
-                                     args.r_freq, args.tol, **_workcap("cap"))
+                                     args.r_freq, **_workcap("cap"))
     _write(args, _to_json(report.to_dict()) + "\n")
     return 0 if report.rel_residual <= args.tol else 2
 
@@ -315,10 +312,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_dash_values(argv) -> list[str]:
+    # every option is long, so a '-value' right after a '--option' without '='
+    # is that option's value; join them, or argparse reads it as an option
+    out: list[str] = []
+    for token in argv:
+        if (token[:1] == "-" and token[:2] != "--" and out and out[-1][:2] == "--"
+                and "=" not in out[-1] and out[-1] not in ("--", "--help")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except ParseError as exc:  # a ValueError, so it must come first
         print(f"parse error at byte {exc.offset}: {exc.reason}", file=sys.stderr)

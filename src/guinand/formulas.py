@@ -34,7 +34,8 @@ Both sides are evaluated through the atom-comb pairing, with combs from the
 two builders of ``guinand.atoms``.  Since psi_hat is the reflection of phi
 and both distributions are odd, <sigma, phi> equals minus the pairing of
 the sigma_hat comb against psi, which is how the right-hand side is
-computed.
+computed.  Lattice points are enumerated in integers scaled by D, the
+shift's common denominator; phases <m,xi> mod 1 are integer residues.
 
 Tail policy (ours; the identities themselves say nothing about rates): the
 discarded shells are dominated by r_k(n) <= (2 sqrt(n) + 1)^k times the
@@ -217,7 +218,7 @@ def _verify(k: int, phi: GaussPoly, N: int) -> tuple[VerificationReport, list[di
     return report, rows
 
 
-def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N, tol: float = 1e-9) -> VerificationReport:
+def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N) -> VerificationReport:
     """Evaluate both sides at truncation N and report residuals.
 
     For k in {3, 5} the specialized explicit form of the right-hand side is
@@ -293,89 +294,76 @@ def _beta_tail(k: int, psi: GaussPoly, cut: float, tail) -> float:
 # shifted lattices
 # --------------------------------------------------------------------------
 
-def _check_shift(k, eta) -> tuple:
-    eta = tuple(Fraction(x) for x in eta)
-    if len(eta) != k:
+def _check_shift(k, v) -> tuple[tuple[int, ...], int]:
+    """(e, D) with v = e / D componentwise, D the least common denominator."""
+    v = tuple(Fraction(x) for x in v)
+    if len(v) != k:
         raise ValueError(f"shift vector must have length {k}")
-    if all(abs(float(x) - round(float(x))) < 1e-12 for x in eta):
+    if all(abs(float(x) - round(float(x))) < 1e-12 for x in v):
         raise ValueError("shift vector must lie outside Z^k "
                          "(all components are within 1e-12 of integers)")
-    return eta
+    D = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (D // x.denominator) for x in v), D
 
 
-def _shifted_points(k, eta, R, cap):
-    """All m in Z^k with |m + eta| <= R, as (m, exact |m+eta|^2) pairs.
+def _shifted_points(k, shift, R, cap):
+    """All m in Z^k with |m + e/D| <= R, shift = (e, D), as (m, D^2 |m + e/D|^2).
 
-    Nested box scan over the coordinate ranges with radius pruning; the
-    final acceptance test |m+eta|^2 <= R^2 is exact rational arithmetic.
+    The test is sum (D m_i + e_i)^2 <= floor(R^2 D^2), in integers; given the
+    earlier coordinates, m_i runs ascending over the integers with
+    |D m_i + e_i| <= isqrt of the remaining budget.
     """
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
-    lo, hi, widths = [], [], []
-    for x in eta:
-        xf = float(x)
-        lo.append(math.ceil(-xf - R - 1e-9))
-        hi.append(math.floor(-xf + R + 1e-9))
-        widths.append(hi[-1] - lo[-1] + 1)
-    estimate = 1
-    for w in widths:
-        estimate *= max(w, 1)
+    e, D = shift
+    budget = math.floor(Fraction(R) ** 2 * D * D)
+    s = math.isqrt(budget)
+    estimate = math.prod(max((s - ei) // D + (s + ei) // D + 1, 1) for ei in e)
     if estimate > cap:
         raise WorkCapExceeded(
             f"lattice enumeration estimate {estimate} points exceeds cap {cap}")
-    r2 = Fraction(R) ** 2
-    r2f = float(r2) + 1e-9
     out = []
     m = [0] * k
 
-    def scan(i, partial_exact, partial_float):
-        if i == k:
-            if partial_exact <= r2:
-                out.append((tuple(m), partial_exact))
-            return
-        x = eta[i]
-        xf = float(x)
-        for mi in range(lo[i], hi[i] + 1):
-            d = mi + xf
-            pf = partial_float + d * d
-            if pf > r2f:
-                continue
+    def scan(i, partial):
+        s, ei = math.isqrt(budget - partial), e[i]
+        for mi in range(-((s + ei) // D), (s - ei) // D + 1):
             m[i] = mi
-            scan(i + 1, partial_exact + (mi + x) ** 2, pf)
+            d = D * mi + ei
+            if i + 1 < k:
+                scan(i + 1, partial + d * d)
+            else:
+                out.append((tuple(m), partial + d * d))
 
-    scan(0, Fraction(0), 0.0)
+    scan(0, 0)
     return out
 
 
 def shifted_nodes(k: int, eta, R: float, *, cap: int = DEFAULT_LATTICE_CAP):
     """Lattice points m with |m + eta| <= R and their node radii |m + eta|."""
     _check_odd_k(k)
-    eta = _check_shift(k, eta)
-    return [{"m": m, "node": math.sqrt(float(nsq))}
-            for m, nsq in _shifted_points(k, eta, R, cap)]
+    shift = _check_shift(k, eta)
+    return [{"m": m, "node": math.sqrt(nsq / shift[1] ** 2)}
+            for m, nsq in _shifted_points(k, shift, R, cap)]
 
 
-_QUARTER_PHASES = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,
-                   Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
-
-
-def _phase(dot: Fraction) -> complex:
-    # e^(2 pi i dot), argument reduced exactly mod 1 first; quarter turns are
+def _phase(num: int, den: int) -> complex:
+    # e^(2 pi i num/den), reduced exactly mod 1 first; quarter turns are
     # exact so that shells whose phase sums cancel identically really cancel
-    frac = dot - math.floor(dot)
-    exact = _QUARTER_PHASES.get(frac)
-    if exact is not None:
-        return exact
-    return cmath.exp(2j * math.pi * float(frac))
+    r = num % den
+    quarter, rest = divmod(4 * r, den)
+    if rest:
+        return cmath.exp(2j * math.pi * (r / den))
+    return (1 + 0j, 1j, -1 + 0j, -1j)[quarter]
 
 
 def _phase_shells(k, shift, dual, R, cap) -> dict:
-    """{exact |m+shift|^2: sum of e^(2 pi i <m,dual>)} over |m+shift| <= R."""
+    """{exact |m+shift|^2: sum of e^(2 pi i <m,dual>)} over |m+shift| <= R ((e, D) pairs)."""
+    d, den = dual
     shells: dict = {}
     for m, nsq in _shifted_points(k, shift, R, cap):
-        dot = sum(mi * x for mi, x in zip(m, dual))
-        shells[nsq] = shells.get(nsq, 0j) + _phase(dot)
-    return shells
+        shells[nsq] = shells.get(nsq, 0j) + _phase(sum(mi * di for mi, di in zip(m, d)), den)
+    return {Fraction(nsq, shift[1] ** 2): w for nsq, w in shells.items()}
 
 
 def _shifted_sigma(k, eta, xi, R, cap):
@@ -386,9 +374,10 @@ def _shifted_sigma(k, eta, xi, R, cap):
 def _shifted_sigma_hat(k, eta, xi, R, cap):
     """Truncated transform comb, prefactor -i e^(-2 pi i <eta,xi>) included
     (the -i lives inside the comb builder)."""
-    prefactor = _phase(-sum(e * x for e, x in zip(eta, xi)))
+    (e, D), (x, Dx) = eta, xi
+    prefactor = _phase(-sum(a * b for a, b in zip(e, x)), D * Dx)
     beta_f = [b.to_float() for b in betas(k)]
-    shells = _phase_shells(k, xi, tuple(-e for e in eta), R, cap)
+    shells = _phase_shells(k, xi, (tuple(-a for a in e), D), R, cap)
     pairs = ((nsq, [prefactor * shells[nsq] * bf for bf in beta_f]) for nsq in sorted(shells))
     return sigma_hat_comb(k, 0, pairs, R=float(R), parity="none")
 
@@ -399,17 +388,17 @@ def shifted_lhs_direct(k: int, eta, xi, phi: GaussPoly, R: float,
     independent route for cross-checking the comb pairing."""
     _check_odd_k(k)
     eta = _check_shift(k, eta)
-    xi = _check_shift(k, xi)
+    x, Dx = _check_shift(k, xi)
     acc = CompensatedSum()
     for m, nsq in sorted(_shifted_points(k, eta, R, cap), key=lambda p: p[1]):
-        v = math.sqrt(float(nsq))
-        dot = sum(mi * x for mi, x in zip(m, xi))
-        acc.add(_phase(dot) / v * (phi.eval(v) - phi.eval(-v)))
+        v = math.sqrt(nsq / eta[1] ** 2)
+        phase = _phase(sum(mi * xi_i for mi, xi_i in zip(m, x)), Dx)
+        acc.add(phase / v * (phi.eval(v) - phi.eval(-v)))
     return acc.total
 
 
 def verify_shifted(k: int, eta, xi, phi: GaussPoly,
-                   R_time: float, R_freq: float, tol: float = 1e-8,
+                   R_time: float, R_freq: float,
                    *, cap: int = DEFAULT_LATTICE_CAP) -> VerificationReport:
     """Check the shifted-lattice identity through the comb pairing.
 

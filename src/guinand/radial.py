@@ -293,13 +293,13 @@ def sphere_ft_bessel(k: int, t: float) -> float:
 
 def sphere_ft_recurrence(k: int, t: float) -> float:
     """s_k from s_1 = 2 cos(2 pi t), s_3 = 2 sin(2 pi t)/t by
-    s_k = (2 pi t^2)^(-1) ((k-4) s_{k-2} - 2 pi s_{k-4});  k odd >= 5.
+    s_k = (2 pi t^2)^(-1) ((k-4) s_{k-2} - 2 pi s_{k-4});  k odd >= 3.
 
     For 2 pi t < (k-2)/2 the same recurrence runs downward instead (Miller),
     s_{j-2} = ((j-2) s_j - 2 pi t^2 s_{j+2}) / (2 pi), from a start index
     past k, and is normalized against s_1 or s_3, whichever has the larger
     trigonometric factor."""
-    _check_odd_k(k, minimum=5)
+    _check_odd_k(k)
     u, z = _profile_argument(t, "recurrence")
     if _small_argument(k, z):
         a = 2.0 * math.pi * u * u

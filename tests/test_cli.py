@@ -71,6 +71,32 @@ def test_malformed_inputs_exit_1(argv, capsys):
     assert code == 1
 
 
+# values starting with '-' after a spaced option: each must run like --opt=value
+DASH_VALUES = [
+    (["verify", "--k", "3", "--nmax", "50"], "--phi", "-t*exp(-pi*t^2)"),
+    (["verify-shifted", "--k", "3", "--xi", "0,1/3,0", "--phi", "t*exp(-pi*t^2)",
+      "--r-time", "3", "--r-freq", "3"], "--eta", "-1/2,0,0"),
+    (["verify-shifted", "--k", "3", "--eta", "1/2,0,0", "--phi", "t*exp(-pi*t^2)",
+      "--r-time", "3", "--r-freq", "3"], "--xi", "-1/3,0,1/4"),
+    (["radial-ft", "--k", "5", "--t", "0.7"], "--f", "-t^2*exp(-pi*t^2)"),
+    (["sphere-ft", "--k", "5"], "--t-grid", "-1.25:1:0.5"),
+]
+
+
+@pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("base,option,value", DASH_VALUES,
+                         ids=[option for _, option, _ in DASH_VALUES])
+def test_dash_leading_values(base, option, value, from_sys_argv, capsys, monkeypatch):
+    want_code, want_out, _ = run(base + [f"{option}={value}"], capsys)
+    assert want_code == 0
+    argv = base + [option, value]
+    if from_sys_argv:
+        monkeypatch.setattr("sys.argv", ["guinand"] + argv)
+        argv = None
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (want_code, want_out)
+
+
 # ---- outputs -----------------------------------------------------------------
 
 def test_rk_csv(capsys):
@@ -104,6 +130,13 @@ def test_sphere_ft_four_methods(capsys):
     assert len(values) == 4
     spread = max(values) - min(values)
     assert spread <= 1e-12 * max(abs(v) for v in values)
+
+
+def test_sphere_ft_k3_default_methods(capsys):
+    code, out, _ = run(["sphere-ft", "--k", "3", "--t", "1"], capsys)
+    assert code == 0
+    assert [r["method"] for r in json.loads(out)] == \
+        ["closed", "bessel", "recurrence", "besselpoly"]
 
 
 def test_sphere_ft_grid_csv(capsys):

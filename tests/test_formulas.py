@@ -87,19 +87,19 @@ def test_rhs_eigenfunction_is_same_series():
 
 
 def test_verify_eigenfunction_k3():
-    rep = verify(3, parse("t*exp(-pi*t^2)").value, 400, 1e-10)
+    rep = verify(3, parse("t*exp(-pi*t^2)").value, 400)
     assert rep.identity == "guinand"
     assert rep.rel_residual <= 1e-13
 
 
 def test_verify_k5():
-    rep = verify(5, parse("t*exp(-pi*t^2/2)").value, 400, 1e-10)
+    rep = verify(5, parse("t*exp(-pi*t^2/2)").value, 400)
     assert rep.identity == "k5"
     assert rep.rel_residual <= 1e-10
 
 
 def test_verify_k9_mixed_poly():
-    rep = verify(9, parse("(t^5-t)*exp(-pi*t^2)").value, 400, 1e-9)
+    rep = verify(9, parse("(t^5-t)*exp(-pi*t^2)").value, 400)
     assert rep.identity == "general-k"
     assert rep.rel_residual <= 1e-9
 
@@ -112,7 +112,7 @@ def test_verify_suite_all_k(odd_suite):
 
 
 def test_report_fields():
-    rep = verify(3, parse("t*exp(-pi*t^2)").value, 50, 1e-9)
+    rep = verify(3, parse("t*exp(-pi*t^2)").value, 50)
     d = rep.to_dict()
     assert set(d) == {"identity", "k", "lhs", "rhs", "abs_residual",
                       "rel_residual", "tail_bound_lhs", "tail_bound_rhs",
@@ -237,6 +237,16 @@ def test_verify_shifted_k5():
     assert rep.truncation == {"R_time": 6.0, "R_freq": 6.0}
     assert rep.tail_bound_lhs < 1e-30
     assert rep.tail_bound_rhs < 1e-30
+
+
+def test_verify_shifted_k7():
+    phi = parse("t*exp(-pi*t^2)").value
+    eta = (HALF,) + (0,) * 6
+    xi = (0, Fraction(1, 3)) + (0,) * 5
+    rep = verify_shifted(7, eta, xi, phi, 4.0, 4.0)
+    assert rep.rel_residual <= 1e-8
+    assert rep.tail_bound_lhs <= 1e-8 * abs(rep.lhs)
+    assert rep.tail_bound_rhs <= 1e-8 * abs(rep.lhs)
 
 
 def test_shifted_comb_pairing_matches_direct_sum():

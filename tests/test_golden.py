@@ -49,6 +49,10 @@ CASES = {
     "verify_shifted_k5": (["verify-shifted", "--k", "5", "--eta", "1/2,0,0,1/3,0",
                            "--xi", "0,1/4,0,0,1/5", "--phi", "t*exp(-pi*t^2)",
                            "--r-time", "3", "--r-freq", "3.5"], 0),
+    "verify_shifted_k3_mixed": (["verify-shifted", "--k", "3", "--eta", "2/3,-4/5,5/6",
+                                 "--xi", "1/5,1/2,-2/3", "--phi",
+                                 "(t+0.5*t^3)*exp(-pi*t^2)", "--r-time", "5",
+                                 "--r-freq", "5"], 0),
     "radial_ft_methods": (["radial-ft", "--k", "5", "--f", "t^2*exp(-pi*t^2/2)",
                            "--t", "0.7", "--methods", "closed,quadrature,zero"], 0),
     "radial_ft_grid_csv": (["radial-ft", "--k", "9", "--f", "(t^4-t^2)*exp(-pi*t^2)",

@@ -4,13 +4,16 @@ Random odd phi and arbitrary f are drawn from the GaussPoly algebra; the
 examples are derandomized so that every run checks the same cases.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guinand.formulas import lhs_general, rhs_general, shell_table, verify
+from guinand.formulas import (
+    lhs_general, rhs_general, shell_table, shifted_nodes, verify,
+)
 from guinand.schwartz import GaussPoly, parse
 
 settings.register_profile("guinand", max_examples=40, deadline=None,
@@ -81,3 +84,46 @@ def test_envelope_bounds_the_function(f, u, negative, shift):
     bound = math.fsum(c * u ** p * math.exp(-math.pi * a * t * t)
                       for c, p, a in f.envelope(shift))
     assert abs(f.eval(t)) * u ** shift <= bound * (1 + 1e-12)
+
+
+@st.composite
+def shifts_and_radii(draw):
+    """(k, eta, R): rational eta with denominators up to 12, some negative,
+    and R either arbitrary or the float root of the shell of a nearby point."""
+    k = draw(st.sampled_from([3, 5]))
+    eta = tuple(Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+                for _ in range(k))
+    if all(x.denominator == 1 for x in eta):
+        eta = (eta[0] + Fraction(1, draw(st.integers(2, 12))),) + eta[1:]
+    r_max = 3.5 if k == 3 else 1.8
+    if draw(st.booleans()):
+        R = draw(st.floats(min_value=0.05, max_value=r_max))
+    else:
+        # m0 close to -eta puts the shell |m0 + eta|^2 near the origin
+        m0 = [math.floor(-x) + draw(st.integers(0, 1)) for x in eta]
+        sq = sum((m + x) ** 2 for m, x in zip(m0, eta))
+        R = math.sqrt(float(sq))
+        if R > r_max + 1:
+            R = r_max
+    return k, eta, R
+
+
+def _brute_force_nodes(eta, R):
+    # box scan in ascending nested order, exact acceptance
+    r2 = Fraction(R) ** 2
+    ranges = [range(math.ceil(-x - Fraction(R) - 1), math.floor(-x + Fraction(R) + 1) + 1)
+              for x in eta]
+    out = []
+    for m in itertools.product(*ranges):
+        sq = sum((mi + x) ** 2 for mi, x in zip(m, eta))
+        if sq <= r2:
+            out.append((m, math.sqrt(float(sq))))
+    return out
+
+
+@settings(max_examples=30)
+@given(shifts_and_radii())
+def test_shifted_nodes_match_brute_force(case):
+    k, eta, R = case
+    got = [(n["m"], n["node"]) for n in shifted_nodes(k, eta, R)]
+    assert got == _brute_force_nodes(eta, R)

@@ -123,6 +123,15 @@ def test_sphere_recurrence_examples():
     assert abs(sphere_ft_recurrence(5, 1e-3) - area5) < 1e-3 * area5
 
 
+def test_sphere_routes_agree_at_k3():
+    # s_3(t) = 2 sin(2 pi t)/t; t = 0.05 lies below 2 pi t = 1/2, where the
+    # recurrence route runs downward
+    for t in (0.05, 0.3, 1.0, -1.7, 4.2):
+        want = 2 * math.sin(2 * math.pi * abs(t)) / abs(t)
+        for name, fn in SPHERE_METHODS.items():
+            assert abs(fn(3, t) - want) <= 1e-13 * max(1.0, abs(want)), (name, t)
+
+
 def test_sphere_besselpoly_examples():
     assert abs(sphere_ft_besselpoly(3, 0.25) - 8.0) < 1e-14
     assert abs(sphere_ft_besselpoly(5, 1.0) - (-2.0)) < 1e-13
