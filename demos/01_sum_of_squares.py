@@ -1,13 +1,14 @@
 """Counting lattice points on spheres: the r_k(n) tables.
 
 r_k(n) is the number of integer vectors m in Z^k with |m|^2 = n.  The
-library computes whole tables by exact convolution and cross-checks single
-values against a brute-force lattice scan.
+library computes whole tables in exact integers as the coefficients of
+theta(q)^k, theta(q) = 1 + 2 sum q^(s^2), with Miller's power recurrence,
+and cross-checks single values against a brute-force lattice scan.
 """
 
 from guinand import rk_bruteforce, rk_table
 
-print("r_3(n) for n = 0..12 (convolution table):")
+print("r_3(n) for n = 0..12 (theta^k table):")
 table = rk_table(3, 12)
 for n, c in enumerate(table.counts):
     print(f"  r_3({n:2d}) = {c}")

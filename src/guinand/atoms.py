@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .coeffs import _check_odd_k, alpha, betas
 from .schwartz import GaussPoly
-from .sumsq import rk_table
+from .sumsq import DEFAULT_TABLE_CAP, rk_table
 from .util import CompensatedSum
 
 __all__ = [
@@ -139,15 +139,15 @@ def sigma_hat_comb(k: int, origin: complex, shells, **meta) -> AtomComb:
     return make_comb(atoms, k=k, **meta)
 
 
-def sigma_k(k: int, N: int) -> AtomComb:
+def sigma_k(k: int, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> AtomComb:
     """Truncation of sigma_k to shells n <= N (plus the origin atom)."""
     _check_odd_k(k)
-    counts = rk_table(k, N).counts
+    counts = rk_table(k, N, table_cap=table_cap).counts
     shells = {n: complex(r) for n, r in enumerate(counts) if n and r}
     return sigma_comb(k, complex(1.0), shells, N=N, parity="odd")
 
 
-def sigma_k_hat(k: int, N: int) -> AtomComb:
+def sigma_k_hat(k: int, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> AtomComb:
     """Truncation of the transform of sigma_k to shells n <= N.
 
     The rational-times-pi parts of the weights (r_k(n) * beta_jk) are kept
@@ -155,7 +155,7 @@ def sigma_k_hat(k: int, N: int) -> AtomComb:
     floating point.
     """
     _check_odd_k(k)
-    counts = rk_table(k, N).counts
+    counts = rk_table(k, N, table_cap=table_cap).counts
     beta_list = betas(k)
     shells = ((n, [(r * b).to_float() for b in beta_list])
               for n, r in enumerate(counts) if n and r)

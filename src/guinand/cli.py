@@ -154,16 +154,15 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_verify(args) -> int:
     phi = _parse_phi(args.phi)
+    report, *terms = formulas._verify(args.k, phi, args.nmax, **_workcap("table_cap"))
     if args.format == "csv":
-        report, shells = formulas._verify(args.k, phi, args.nmax)
         columns = ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")
         header = ["n", "r_k"] + [f"{col}_{part}" for col in columns for part in ("re", "im")]
         rows = [[row["n"], row["r_k"]] + [_fmt_float(x) for col in columns
                                           for x in (row[col].real, row[col].imag)]
-                for row in shells]
+                for row in formulas._shell_rows(*terms)]
         _write_csv(args, header, rows)
     else:
-        report = formulas.verify(args.k, phi, args.nmax)
         _write(args, _to_json(report.to_dict()) + "\n")
     return 0 if report.rel_residual <= args.tol else 2
 
@@ -180,8 +179,9 @@ def _cmd_verify_shifted(args) -> int:
 
 def _cmd_duality(args) -> int:
     phi = _parse_phi(args.phi)
-    hat_phi = atoms.pair(atoms.sigma_k_hat(args.k, args.nmax), phi)
-    sig_psi = atoms.pair(atoms.sigma_k(args.k, args.nmax), phi.fourier())
+    cap = _workcap("table_cap")
+    hat_phi = atoms.pair(atoms.sigma_k_hat(args.k, args.nmax, **cap), phi)
+    sig_psi = atoms.pair(atoms.sigma_k(args.k, args.nmax, **cap), phi.fourier())
     rel = rel_diff(hat_phi, sig_psi)
     obj = {"k": args.k, "N": args.nmax,
            "pair_sigma_hat_phi": hat_phi, "pair_sigma_phi_hat": sig_psi,

@@ -57,7 +57,7 @@ from .atoms import pair, sigma_comb, sigma_hat_comb
 from .coeffs import _check_odd_k, alpha, betas
 from .errors import WorkCapExceeded
 from .schwartz import GaussPoly
-from .sumsq import rk_table
+from .sumsq import DEFAULT_TABLE_CAP, rk_table
 from .util import CompensatedSum, comp_sum, rel_diff
 
 __all__ = [
@@ -142,9 +142,9 @@ def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
     return comp_sum(term for _, _, term in _rhs_terms(k, psi, rk_table(k, N).counts))
 
 
-def _rhs_explicit_k3(psi: GaussPoly, N: int) -> complex:
+def _rhs_explicit_k3(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
     # i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n)
-    table = rk_table(3, N)
+    table = rk_table(3, N, table_cap=table_cap)
     acc = CompensatedSum()
     acc.add(1j * psi.derivative().eval(0.0))
     for n in range(1, N + 1):
@@ -155,9 +155,9 @@ def _rhs_explicit_k3(psi: GaussPoly, N: int) -> complex:
     return acc.total
 
 
-def _rhs_explicit_k5(psi: GaussPoly, N: int) -> complex:
+def _rhs_explicit_k5(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
     # -i/(6 pi) psi'''(0) + i/(2 pi) sum r_5(n)/n^(3/2) [psi(sqrt n) - sqrt(n) psi'(sqrt n)]
-    table = rk_table(5, N)
+    table = rk_table(5, N, table_cap=table_cap)
     dpsi = psi.derivative()
     acc = CompensatedSum()
     acc.add(-1j / (6.0 * math.pi) * psi.derivative(3).eval(0.0))
@@ -188,17 +188,19 @@ def _shell_rows(lhs_terms, rhs_terms) -> list[dict]:
     return rows
 
 
-def _verify(k: int, phi: GaussPoly, N: int) -> tuple[VerificationReport, list[dict]]:
-    """``verify`` and its ``shell_table`` rows, from one r_k table."""
+def _verify(k: int, phi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP):
+    """``verify``'s report and the term lists of both sides (the input of
+    ``_shell_rows``), from one r_k table of at most table_cap + 1 entries."""
     _check_odd_k(k)
     _require_odd_phi(phi)
     psi = phi.fourier()
-    counts = rk_table(k, N).counts
-    rows = _shell_rows(_lhs_terms(phi, counts), _rhs_terms(k, psi, counts))
-    lhs, rhs = rows[-1]["lhs_partial"], rows[-1]["rhs_partial"]
+    counts = rk_table(k, N, table_cap=table_cap).counts
+    lhs_terms, rhs_terms = _lhs_terms(phi, counts), _rhs_terms(k, psi, counts)
+    lhs = comp_sum(term for _, _, term in lhs_terms)
+    rhs = comp_sum(term for _, _, term in rhs_terms)
     explicit = {3: _rhs_explicit_k3, 5: _rhs_explicit_k5}.get(k)
     if explicit is not None:
-        special = explicit(psi, N)
+        special = explicit(psi, N, table_cap=table_cap)
         if rel_diff(special, rhs) > _SPECIAL_FORM_RTOL:
             raise ValueError(f"specialized k={k} form disagrees with the general "
                              f"path: {special!r} vs {rhs!r}")
@@ -212,10 +214,10 @@ def _verify(k: int, phi: GaussPoly, N: int) -> tuple[VerificationReport, list[di
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=tail_bound(k, phi, N),
         tail_bound_rhs=_beta_tail(k, psi, N, _sqrtn_tail),
-        terms_used=len(rows) - 1,
+        terms_used=len(lhs_terms) - 1,
         truncation={"N": N},
     )
-    return report, rows
+    return report, lhs_terms, rhs_terms
 
 
 def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N) -> VerificationReport:
@@ -306,12 +308,14 @@ def _check_shift(k, v) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (D // x.denominator) for x in v), D
 
 
-def _shifted_points(k, shift, R, cap):
-    """All m in Z^k with |m + e/D| <= R, shift = (e, D), as (m, D^2 |m + e/D|^2).
+def _shifted_points(k, shift, R, cap, d=None):
+    """All m in Z^k with |m + e/D| <= R, shift = (e, D), as
+    (m, D^2 |m + e/D|^2, <m, d>) for an integer vector d (zero by default).
 
     The test is sum (D m_i + e_i)^2 <= floor(R^2 D^2), in integers; given the
     earlier coordinates, m_i runs ascending over the integers with
-    |D m_i + e_i| <= isqrt of the remaining budget.
+    |D m_i + e_i| <= isqrt of the remaining budget.  The squared radius and
+    <m, d> are carried down the scan as partial sums.
     """
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
@@ -322,20 +326,21 @@ def _shifted_points(k, shift, R, cap):
     if estimate > cap:
         raise WorkCapExceeded(
             f"lattice enumeration estimate {estimate} points exceeds cap {cap}")
+    d = d or (0,) * k
     out = []
     m = [0] * k
 
-    def scan(i, partial):
-        s, ei = math.isqrt(budget - partial), e[i]
+    def scan(i, partial, dot):
+        s, ei, di = math.isqrt(budget - partial), e[i], d[i]
         for mi in range(-((s + ei) // D), (s - ei) // D + 1):
             m[i] = mi
-            d = D * mi + ei
+            c = D * mi + ei
             if i + 1 < k:
-                scan(i + 1, partial + d * d)
+                scan(i + 1, partial + c * c, dot + mi * di)
             else:
-                out.append((tuple(m), partial + d * d))
+                out.append((tuple(m), partial + c * c, dot + mi * di))
 
-    scan(0, 0)
+    scan(0, 0, 0)
     return out
 
 
@@ -344,7 +349,7 @@ def shifted_nodes(k: int, eta, R: float, *, cap: int = DEFAULT_LATTICE_CAP):
     _check_odd_k(k)
     shift = _check_shift(k, eta)
     return [{"m": m, "node": math.sqrt(nsq / shift[1] ** 2)}
-            for m, nsq in _shifted_points(k, shift, R, cap)]
+            for m, nsq, _ in _shifted_points(k, shift, R, cap)]
 
 
 def _phase(num: int, den: int) -> complex:
@@ -361,8 +366,8 @@ def _phase_shells(k, shift, dual, R, cap) -> dict:
     """{exact |m+shift|^2: sum of e^(2 pi i <m,dual>)} over |m+shift| <= R ((e, D) pairs)."""
     d, den = dual
     shells: dict = {}
-    for m, nsq in _shifted_points(k, shift, R, cap):
-        shells[nsq] = shells.get(nsq, 0j) + _phase(sum(mi * di for mi, di in zip(m, d)), den)
+    for _, nsq, dot in _shifted_points(k, shift, R, cap, d):
+        shells[nsq] = shells.get(nsq, 0j) + _phase(dot, den)
     return {Fraction(nsq, shift[1] ** 2): w for nsq, w in shells.items()}
 
 
@@ -390,7 +395,7 @@ def shifted_lhs_direct(k: int, eta, xi, phi: GaussPoly, R: float,
     eta = _check_shift(k, eta)
     x, Dx = _check_shift(k, xi)
     acc = CompensatedSum()
-    for m, nsq in sorted(_shifted_points(k, eta, R, cap), key=lambda p: p[1]):
+    for m, nsq, _ in sorted(_shifted_points(k, eta, R, cap), key=lambda p: p[1]):
         v = math.sqrt(nsq / eta[1] ** 2)
         phase = _phase(sum(mi * xi_i for mi, xi_i in zip(m, x)), Dx)
         acc.add(phase / v * (phi.eval(v) - phi.eval(-v)))

@@ -190,6 +190,42 @@ def test_workcap_env_override(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "3"],
+    ["verify", "--k", "3", "--format", "csv"],
+    ["verify", "--k", "7"],
+    ["duality", "--k", "5"],
+], ids=["verify-json", "verify-csv", "verify-k7", "duality"])
+def test_workcap_env_override_table_builds(argv, capsys, monkeypatch):
+    # the r_k table of verify and duality obeys GUINAND_WORKCAP both ways
+    argv = argv + ["--phi", "t*exp(-pi*t^2)", "--nmax", "100"]
+    monkeypatch.setenv("GUINAND_WORKCAP", "10")
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert "cap" in err
+    monkeypatch.setenv("GUINAND_WORKCAP", "100")
+    assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_workcap_reaches_literal_constant_tables(k, capsys, monkeypatch):
+    # at k = 3 and 5 the literal-constant cross-check builds its own table;
+    # a raised cap must reach it too
+    from guinand import formulas
+
+    build, caps = formulas.rk_table, []
+
+    def recording(k, max_n, **kwargs):
+        caps.append(kwargs.get("table_cap"))
+        return build(k, max_n, **kwargs)
+
+    monkeypatch.setattr(formulas, "rk_table", recording)
+    monkeypatch.setenv("GUINAND_WORKCAP", "100")
+    assert run(["verify", "--k", str(k), "--phi", "t*exp(-pi*t^2)",
+                "--nmax", "100"], capsys)[0] == 0
+    assert caps == [100, 100]
+
+
 def test_json_determinism(tmp_path, capsys):
     argv = ["verify", "--k", "5", "--phi", "t*exp(-pi*t^2/2)", "--nmax", "200"]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,8 +1,15 @@
-"""r_k correctness: convolution table vs the brute-force lattice oracle."""
+"""r_k correctness: the table against oracles that share no code with it.
+
+The oracles are the brute-force lattice scan, Jacobi's closed forms for
+r_4 and r_8, theta^k by repeated schoolbook multiplication, and the Cauchy
+product of two smaller tables.
+"""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guinand.errors import WorkCapExceeded
 from guinand.sumsq import RepTable, ball_count, rk_bruteforce, rk_table
@@ -107,3 +114,59 @@ def test_bruteforce_work_cap():
 def test_reptable_validates_length():
     with pytest.raises(ValueError):
         RepTable(1, 3, (1, 2))
+
+
+def _divisor_sums(N, power):
+    """sigma_power(n) for 0 <= n <= N (0 at n = 0), by a divisor sieve."""
+    sums = [0] * (N + 1)
+    for d in range(1, N + 1):
+        dp = d ** power
+        for n in range(d, N + 1, d):
+            sums[n] += dp
+    return sums
+
+
+def test_jacobi_four_and_eight_squares():
+    # r_4(n) = 8 sigma(n) - 32 sigma(n/4);
+    # r_8(n) = 16 sum_{d|n} (-1)^(n+d) d^3
+    N = 3000
+    sigma = _divisor_sums(N, 1)
+    r8 = [1] + [0] * N
+    for d in range(1, N + 1):
+        for n in range(d, N + 1, d):
+            r8[n] += 16 * (-1) ** (n + d) * d ** 3
+    r4 = [1] + [8 * sigma[n] - (32 * sigma[n // 4] if n % 4 == 0 else 0)
+                for n in range(1, N + 1)]
+    assert rk_table(4, N).counts == tuple(r4)
+    assert rk_table(8, N).counts == tuple(r8)
+
+
+def _theta_power(k, N):
+    """Coefficients of theta(q)^k to q^N, theta = 1 + 2 sum q^(s^2), by k
+    schoolbook multiplications with the sparse theta row."""
+    theta = [(0, 1)] + [(s * s, 2) for s in range(1, math.isqrt(N) + 1)]
+    power = [1] + [0] * N
+    for _ in range(k):
+        product = [0] * (N + 1)
+        for shift, c in theta:
+            for n in range(N + 1 - shift):
+                product[n + shift] += c * power[n]
+        power = product
+    return power
+
+
+@pytest.mark.parametrize("k", [13, 21])
+def test_table_matches_schoolbook_theta_power(k):
+    N = 1320   # the largest table the benchmark's deep verify jobs request
+    assert rk_table(k, N).counts == tuple(_theta_power(k, N))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_table_is_cauchy_product_of_smaller_tables(data):
+    k = data.draw(st.integers(2, 30), label="k")
+    j = data.draw(st.integers(1, k - 1), label="j")
+    N = data.draw(st.integers(0, 300), label="N")
+    a, b = rk_table(k - j, N).counts, rk_table(j, N).counts
+    product = tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(N + 1))
+    assert rk_table(k, N).counts == product
