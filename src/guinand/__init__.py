@@ -17,7 +17,7 @@ from .formulas import (
 )
 from .radial import (
     SphereFTValue, bk_recurrence_check, grid_rows, radial_ft_closed,
-    radial_ft_quadrature, radial_ft_zero, sphere_area, sphere_ft_bessel,
+    radial_ft_quadrature, radial_ft_zero, radial_transform, sphere_area, sphere_ft_bessel,
     sphere_ft_besselpoly, sphere_ft_closed, sphere_ft_recurrence,
     sphere_ft_value,
 )

@@ -197,16 +197,17 @@ def _cmd_radial_ft(args) -> int:
               file=sys.stderr)
         f = f - f.odd_part().scale(0.5)
     methods = args.methods.split(",")
+    h = zero = None  # independent of t: each is built once, when first needed
     rows = []
     for t in _parse_grid(args):
         for method in methods:
-            if method == "closed":
-                value = (radial.radial_ft_zero(f, args.k) if t == 0
-                         else radial.radial_ft_closed(f, args.k, t))
+            if method == "zero" or (method == "closed" and t == 0):
+                value = zero = radial.radial_ft_zero(f, args.k) if zero is None else zero
+            elif method == "closed":
+                h = radial.radial_transform(f, args.k) if h is None else h
+                value = -h.eval(abs(t)) / (2.0 * math.pi)  # radial_ft_closed, bit for bit
             elif method == "quadrature":
                 value = radial.radial_ft_quadrature(f, args.k, t, args.tol)
-            elif method == "zero":
-                value = radial.radial_ft_zero(f, args.k)
             else:
                 raise _UsageError(f"unknown radial method {method!r}")
             rows.append((args.k, t, method, value))

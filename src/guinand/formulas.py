@@ -8,6 +8,10 @@ odd k >= 3, the identity under test is
         + i sum_{n>=1} r_k(n)/n^((k-2)/2)
             sum_{j=0}^{(k-3)/2} beta_jk n^(j/2) psi^(j)(sqrt n).
 
+The inner sum over j, over n^((k-2)/2), is Q(sqrt n) for one GaussPoly Q
+(``radial._beta_quotient`` of psi, built once).  Q = (i/(2 pi)) H for H the
+radial transform of f = phi/t, so a right-hand term is r_k(n) Fhat_k(sqrt n).
+
 Each side has one term builder over the shells of an r_k table
 (``_lhs_terms``, ``_rhs_terms``).  ``verify`` builds the table once, feeds
 both builders, and reports the sums at truncation N with absolute and
@@ -41,9 +45,9 @@ Tail policy (ours; the identities themselves say nothing about rates): the
 discarded shells are dominated by r_k(n) <= (2 sqrt(n) + 1)^k times the
 term's explicit polynomial-times-Gaussian envelope, summed with a geometric
 remainder certificate once the stepwise ratio bound drops below one; the
-lattice tails of the shifted case run the same way over radius bands.  One
-routine bounds the beta-weighted right-hand tail for either kind of tail.
-Bounds below 1e-300 are clamped to zero.
+lattice tails of the shifted case run the same way over radius bands.  The
+right-hand tails use the envelope of Q, so the beta_j pieces that cancel in
+it are never bounded one by one.  Bounds below 1e-300 are clamped to zero.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from fractions import Fraction
 from .atoms import pair, sigma_comb, sigma_hat_comb
 from .coeffs import _check_odd_k, alpha, betas
 from .errors import WorkCapExceeded
+from .radial import _beta_quotient
 from .schwartz import GaussPoly
 from .sumsq import DEFAULT_TABLE_CAP, rk_table
 from .util import CompensatedSum, comp_sum, rel_diff
@@ -90,9 +95,9 @@ class VerificationReport:
         return asdict(self)
 
 
-def _require_odd_phi(phi: GaussPoly) -> None:
+def _require_odd_phi(phi: GaussPoly, name: str = "phi") -> None:
     if not phi.is_odd():
-        raise ValueError("phi must be odd (even-power coefficients must vanish); "
+        raise ValueError(f"{name} must be odd (even-power coefficients must vanish); "
                          "apply odd_part first")
 
 
@@ -113,18 +118,13 @@ def _lhs_terms(phi: GaussPoly, counts) -> list[tuple[int, int, complex]]:
 
 def _rhs_terms(k: int, psi: GaussPoly, counts) -> list[tuple[int, int, complex]]:
     """(n, r_k(n), term) for the right-hand series: (0, 1, i alpha_k
-    psi^(k-2)(0)), then i r_k(n)/n^((k-2)/2) sum_j beta_jk n^(j/2)
-    psi^(j)(sqrt n) for each nonempty shell, ascending n."""
-    beta_f = [b.to_float() for b in betas(k)]
-    derivs = psi.derivatives(k - 2)
-    terms = [(0, 1, 1j * alpha(k).to_float() * derivs[k - 2].eval(0.0))]
+    psi^(k-2)(0)), then i r_k(n) Q(sqrt n) for each nonempty shell, ascending
+    n (see the module docstring; psi must be odd)."""
+    q = _beta_quotient(psi, k)
+    terms = [(0, 1, 1j * alpha(k).to_float() * psi.derivative(k - 2).eval(0.0))]
     for n, r in enumerate(counts):
         if n and r:
-            s = math.sqrt(n)
-            inner = CompensatedSum()
-            for j, bf in enumerate(beta_f):
-                inner.add(bf * s ** j * derivs[j].eval(s))
-            terms.append((n, r, 1j * (r / s ** (k - 2)) * inner.total))
+            terms.append((n, r, 1j * r * q.eval(math.sqrt(n))))
     return terms
 
 
@@ -137,8 +137,10 @@ def lhs_general(k: int, phi: GaussPoly, N: int) -> complex:
 
 def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
     """i alpha_k psi^(k-2)(0) + i sum_{n<=N} r_k(n)/n^((k-2)/2)
-    sum_j beta_jk n^(j/2) psi^(j)(sqrt n), ascending n."""
+    sum_j beta_jk n^(j/2) psi^(j)(sqrt n), ascending n; psi must be odd, as
+    the transform of an odd phi is."""
     _check_odd_k(k)
+    _require_odd_phi(psi, "psi")
     return comp_sum(term for _, _, term in _rhs_terms(k, psi, rk_table(k, N).counts))
 
 
@@ -213,7 +215,7 @@ def _verify(k: int, phi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CA
         abs_residual=abs(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=tail_bound(k, phi, N),
-        tail_bound_rhs=_beta_tail(k, psi, N, _sqrtn_tail),
+        tail_bound_rhs=_sqrtn_tail(k, _beta_quotient(psi, k).envelope(0), N),
         terms_used=len(lhs_terms) - 1,
         truncation={"N": N},
     )
@@ -281,17 +283,6 @@ def tail_bound(k: int, f: GaussPoly, N: int) -> float:
     return _sqrtn_tail(k, f.envelope(-1), N)
 
 
-def _beta_tail(k: int, psi: GaussPoly, cut: float, tail) -> float:
-    """Bound on the discarded right-hand tail, sum_j |beta_jk| times the
-    tail of |psi^(j)| u^(j-(k-2)) past ``cut``; ``tail`` is ``_sqrtn_tail``
-    (shells n > cut) or ``_radius_tail`` (lattice radii > cut)."""
-    total = 0.0
-    for j, (b, d) in enumerate(zip(betas(k), psi.derivatives((k - 3) // 2))):
-        bf = abs(b.to_float())
-        total += tail(k, [(bf * C, p, a) for C, p, a in d.envelope(j - (k - 2))], cut)
-    return 0.0 if total < 1e-300 else total
-
-
 # --------------------------------------------------------------------------
 # shifted lattices
 # --------------------------------------------------------------------------
@@ -341,6 +332,7 @@ def _shifted_points(k, shift, R, cap, d=None):
                 out.append((tuple(m), partial + c * c, dot + mi * di))
 
     scan(0, 0, 0)
+    del scan  # it refers to itself through its closure, a cycle that would hold ``out``
     return out
 
 
@@ -365,9 +357,13 @@ def _phase(num: int, den: int) -> complex:
 def _phase_shells(k, shift, dual, R, cap) -> dict:
     """{exact |m+shift|^2: sum of e^(2 pi i <m,dual>)} over |m+shift| <= R ((e, D) pairs)."""
     d, den = dual
+    phases: dict = {}  # one per residue that occurs: den may be a float's 2^55
     shells: dict = {}
     for _, nsq, dot in _shifted_points(k, shift, R, cap, d):
-        shells[nsq] = shells.get(nsq, 0j) + _phase(dot, den)
+        r = dot % den
+        if r not in phases:
+            phases[r] = _phase(r, den)
+        shells[nsq] = shells.get(nsq, 0j) + phases[r]
     return {Fraction(nsq, shift[1] ** 2): w for nsq, w in shells.items()}
 
 
@@ -429,7 +425,7 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
         abs_residual=abs(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=_radius_tail(k, phi.envelope(-1), R_time),
-        tail_bound_rhs=_beta_tail(k, psi, R_freq, _radius_tail),
+        tail_bound_rhs=_radius_tail(k, _beta_quotient(psi, k).envelope(0), R_freq),
         terms_used=len(time_comb.atoms) + len(freq_comb.atoms),
         truncation={"R_time": float(R_time), "R_freq": float(R_freq)},
     )

@@ -2,11 +2,14 @@
 
 For an even f with one-dimensional transform fhat, the radial lift
 F_k(x) = f(|x|) on R^k (k odd, >= 3) has k-dimensional transform
+Fhat_k(xi) = -H(|xi|) / (2 pi) away from the origin, where
 
-    Fhat_k(xi) = -(1 / (2 pi |xi|^(k-1)))
-                 sum_{j=0}^{(k-3)/2} beta_jk |xi|^(j+1) fhat^(j+1)(|xi|)
+    H(u) = u^(-(k-1)) sum_{j=0}^{(k-3)/2} beta_jk u^(j+1) fhat^(j+1)(u)
 
-away from the origin (``radial_ft_closed``), and at the origin
+is again an even GaussPoly (``radial_transform``; ``radial_ft_closed``
+evaluates it): in every Gaussian term the polynomial part of the sum is
+divisible by u^(k-1), and the division is done on the coefficients, not on
+the value, so no cancellation is left to amplify at small u.  At the origin
 
     Fhat_k(0) = -(alpha_k / (2 pi)) fhat^(k-1)(0)            (``radial_ft_zero``).
 
@@ -51,11 +54,6 @@ near z = nu once k >= 31 (up to ~5e-13 relative at k = 41).  The exact path rais
 ValueError rather than exceed 16384 bits of working precision, which
 happens only for t below about 10^(-4900/(k-3)), e.g. 1e-270 at k = 21.
 
-The radial transform avoids its own cancellation the same way: the
-polynomial part of the derivative sum is divisible by |xi|^(k-1) in every
-Gaussian term, so ``radial_ft_closed`` divides the coefficients instead of
-the value.
-
 ``radial_ft_quadrature`` is the independent oracle: it integrates
 f(r) s_k(r t) r^(k-1) over [0, R] by adaptive Gauss-Kronrod panels no wider
 than a quarter period of the oscillation, with the cutoff tail bounded by
@@ -79,8 +77,8 @@ from .errors import QuadratureError
 from .schwartz import GaussPoly, PiScalar, _is_zero_coeff
 
 __all__ = [
-    "SphereFTValue", "radial_ft_closed", "radial_ft_zero", "radial_ft_quadrature",
-    "sphere_ft_closed", "sphere_ft_bessel", "sphere_ft_recurrence",
+    "SphereFTValue", "radial_transform", "radial_ft_closed", "radial_ft_zero",
+    "radial_ft_quadrature", "sphere_ft_closed", "sphere_ft_bessel", "sphere_ft_recurrence",
     "sphere_ft_besselpoly", "sphere_ft_value", "sphere_area",
     "bk_recurrence_check", "grid_rows", "SPHERE_METHODS",
 ]
@@ -446,29 +444,17 @@ def _divide_out_power(terms, sizes: dict | None, power: int) -> list:
     return out
 
 
-def radial_ft_closed(f: GaussPoly, k: int, t: float) -> complex:
-    """Fhat_k(t) for t != 0 by the finite derivative sum (see module docstring).
-
-    For each Gaussian scale b of fhat, the polynomial part of
-    sum_j beta_jk u^(j+1) fhat^(j+1)(u) is divisible by u^(k-1), because the
-    transform of an even f is entire.  It is summed on plain coefficient
-    lists and u^(k-1) is divided out of the coefficients, not out of the
-    value, so no cancellation is left to amplify at small t."""
-    _check_odd_k(k)
-    _require_even(f)
-    if t == 0:
-        raise ValueError("closed form excludes t = 0; use radial_ft_zero")
-    exact = f.exact
-    if exact:
-        coefs = [PiScalar.of(b.fraction, b.pi_power) for b in betas(k)]
-    else:
-        coefs = _beta_floats(k)
+def _beta_quotient(d: GaussPoly, k: int) -> GaussPoly:
+    """sum_j beta_jk u^(j+1) d^(j)(u) / u^(k-1), j = 0..(k-3)/2, summed on plain
+    coefficient lists per Gaussian scale; u^(k-1) must divide the sum
+    (``_divide_out_power`` checks the dropped coefficients)."""
+    exact = d.exact
+    coefs = ([PiScalar.of(b.fraction, b.pi_power) for b in betas(k)] if exact
+             else _beta_floats(k))
     rows: dict = {}
     sizes: dict | None = None if exact else {}
-    d = f.fourier()
-    for j, beta in enumerate(coefs):
-        d = d.derivative()
-        for b, coeffs in d.terms:
+    for j, (beta, dj) in enumerate(zip(coefs, d.derivatives(len(coefs) - 1))):
+        for b, coeffs in dj.terms:
             row = rows.setdefault(b, [])
             row.extend([0] * (len(coeffs) + j + 1 - len(row)))
             size = sizes.setdefault(b, [0.0] * (k - 1)) if sizes is not None else None
@@ -477,7 +463,22 @@ def radial_ft_closed(f: GaussPoly, k: int, t: float) -> complex:
                 row[i] += term
                 if size is not None and i < k - 1:
                     size[i] += abs(term)
-    quotient = GaussPoly(_divide_out_power(rows.items(), sizes, k - 1), exact=exact)
+    return GaussPoly(_divide_out_power(rows.items(), sizes, k - 1), exact=exact)
+
+
+def radial_transform(f: GaussPoly, k: int) -> GaussPoly:
+    """H with Fhat_k(t) = -H(|t|) / (2 pi) for t != 0 (see module docstring),
+    exact when f is."""
+    _check_odd_k(k)
+    _require_even(f)
+    return _beta_quotient(f.fourier().derivative(), k)
+
+
+def radial_ft_closed(f: GaussPoly, k: int, t: float) -> complex:
+    """Fhat_k(t) = -H(|t|) / (2 pi) for t != 0, H = ``radial_transform(f, k)``."""
+    quotient = radial_transform(f, k)
+    if t == 0:
+        raise ValueError("closed form excludes t = 0; use radial_ft_zero")
     return -quotient.eval(abs(t)) / (2.0 * math.pi)
 
 

@@ -11,16 +11,20 @@ which re-confirms the counts here at float precision).
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from guinand import formulas
+from guinand.coeffs import betas
 from guinand.errors import WorkCapExceeded
 from guinand.formulas import (
     lhs_general, rhs_general, shell_table, shifted_lhs_direct, shifted_nodes,
     tail_bound, verify, verify_shifted,
 )
 from guinand.schwartz import parse
+from guinand.sumsq import rk_table
 
 PINNED = 2.8602371906953891
 
@@ -73,6 +77,11 @@ def test_lhs_rejects_even_input():
         lhs_general(3, parse("exp(-pi*t^2)").value, 10)
 
 
+def test_rhs_rejects_even_input():
+    with pytest.raises(ValueError, match="psi must be odd"):
+        rhs_general(5, parse("exp(-pi*t^2)").value, 10)
+
+
 def test_rhs_matches_lhs_k3_across_truncations():
     phi = parse("t*exp(-pi*t^2/2)").value
     psi = phi.fourier()
@@ -84,6 +93,28 @@ def test_rhs_eigenfunction_is_same_series():
     phi = parse("t*exp(-pi*t^2)").value
     assert abs(rhs_general(5, phi.fourier(), 400)
                - lhs_general(5, phi, 400)) < 1e-12
+
+
+def test_rhs_terms_match_beta_ladder():
+    # independent route: i r/n^((k-2)/2) sum_j beta_jk n^(j/2) psi^(j)(sqrt n),
+    # one derivative eval per j; the shells must agree to 1e-13 of the sum of
+    # the ladder terms' magnitudes, the scale that cancels in them
+    for src in ("t*exp(-pi*t^2/2)", "(t^5-t)*exp(-pi*2*t^2) + t*exp(-pi*t^2/3)",
+                "t^3*exp(-pi*t^2)"):
+        psi = parse(src).value.fourier()
+        for k in (7, 9, 11, 13, 21):
+            counts = rk_table(k, 80).counts
+            beta_f = [b.to_float() for b in betas(k)]
+            derivs = [psi.derivative(j) for j in range(len(beta_f))]
+            got = formulas._rhs_terms(k, psi, counts)
+            assert [(n, r) for n, r, _ in got[1:]] == [
+                (n, r) for n, r in enumerate(counts) if n and r]
+            for n, r, term in got[1:]:
+                s = math.sqrt(n)
+                ladder = [1j * r / s ** (k - 2) * bf * s ** j * d.eval(s)
+                          for j, (bf, d) in enumerate(zip(beta_f, derivs))]
+                scale = math.fsum(abs(x) for x in ladder)
+                assert abs(term - sum(ladder)) <= 1e-13 * scale, (src, k, n)
 
 
 def test_verify_eigenfunction_k3():
@@ -181,6 +212,27 @@ def test_tail_bound_actually_bounds():
     assert tail_bound(3, phi, N) >= discarded
 
 
+def test_rhs_tail_bounds_cover_discarded_terms():
+    # the right-hand certificates against the tails summed from further
+    # shells (verify) or radii (verify-shifted), at settings where those
+    # tails lie well above rounding level
+    for k, src, N in ((3, "t*exp(-pi*3*t^2)", 10), (5, "t*exp(-pi*3*t^2)", 20),
+                      (9, "(t^3-t)*exp(-pi*2*t^2)", 12), (13, "t*exp(-pi*4*t^2)", 15)):
+        phi = parse(src).value
+        rep = verify(k, phi, N)
+        far = formulas._rhs_terms(k, phi.fourier(), rk_table(k, 12 * N).counts)
+        discarded = math.fsum(abs(term) for n, _, term in far if n > N)
+        assert discarded > 1e-9 * abs(rep.rhs), (k, src)
+        assert discarded <= rep.tail_bound_rhs, (k, src)
+    phi = parse("t*exp(-pi*2*t^2)").value
+    for k, eta, xi, R in ((3, (HALF, 0, 0), (0, Fraction(1, 3), 0), 2.0),
+                          (5, (Fraction(1, 4), 0, 0, 0, 0), (0, Fraction(1, 3), 0, 0, 0), 1.5)):
+        small = verify_shifted(k, eta, xi, phi, 4.0, R)
+        large = verify_shifted(k, eta, xi, phi, 4.0, R + 3.0)
+        assert abs(large.rhs - small.rhs) > 1e-9 * abs(large.rhs), k
+        assert abs(large.rhs - small.rhs) <= small.tail_bound_rhs, k
+
+
 # ---- shifted lattices -------------------------------------------------------
 
 def test_shifted_nodes_examples():
@@ -196,6 +248,15 @@ def test_shifted_nodes_examples():
 
     nodes = shifted_nodes(5, (HALF,) * 5, 1.2)
     assert len(nodes) == 32
+
+
+def test_shifted_points_list_is_freed_on_return():
+    # the enumeration must leave no reference cycle holding its result: only
+    # the caller's name and getrefcount's argument may refer to the list
+    pts = formulas._shifted_points(5, formulas._check_shift(5, (HALF, 0, 0, Fraction(1, 3), 0)),
+                                   2.0, 10 ** 6)
+    assert pts
+    assert sys.getrefcount(pts) == 2
 
 
 def test_shifted_nodes_rejects_integral_eta():

@@ -2,10 +2,14 @@
 
 Each case in ``CASES`` has a file ``golden/<name>.out`` holding the stdout
 that ``main(argv)`` printed when the snapshot was taken; the test fails on
-any byte of difference.  Regenerate the files (only after an intended
-output change, and say so in CHANGES.md) with
+any byte of difference.  Regenerate files (only after an intended output
+change, and say so in CHANGES.md) with
 
-    PYTHONPATH=src python tests/test_golden.py --regen
+    PYTHONPATH=src python tests/test_golden.py --regen [NAME ...]
+
+which rewrites the named cases (all of them when none is named) and prints
+the path of each file whose bytes changed.  Before regenerating, diff the old
+and new stdout and check that only the fields the change meant to move did.
 """
 
 import contextlib
@@ -84,10 +88,20 @@ def test_stdout_matches_snapshot(name):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
-    GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, want_code) in sorted(CASES.items()):
-        code, out = _run(argv)
+if __name__ == "__main__" and sys.argv[1:2] == ["--regen"]:
+    names = sys.argv[2:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {' '.join(unknown)}")
+    outputs = {}
+    for name in names:
+        argv, want_code = CASES[name]
+        code, outputs[name] = _run(argv)
         if code != want_code:
             sys.exit(f"{name}: exit status {code}, expected {want_code}")
-        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+    GOLDEN.mkdir(exist_ok=True)
+    for name, out in outputs.items():
+        path = GOLDEN / f"{name}.out"
+        if not path.exists() or path.read_text(encoding="utf-8") != out:
+            path.write_text(out, encoding="utf-8")
+            print(path)

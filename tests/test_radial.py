@@ -4,17 +4,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guinand import radial
 from guinand.coeffs import ScaledRational
 from guinand.errors import QuadratureError
 from guinand.radial import (
     SPHERE_METHODS, _divide_out_power, bk_recurrence_check, radial_ft_closed,
-    radial_ft_quadrature, radial_ft_zero, sphere_area, sphere_ft_bessel,
+    radial_ft_quadrature, radial_ft_zero, radial_transform, sphere_area, sphere_ft_bessel,
     sphere_ft_besselpoly, sphere_ft_closed, sphere_ft_recurrence,
     sphere_ft_value,
 )
-from guinand.schwartz import GaussPoly, parse
+from guinand.schwartz import GaussPoly, PiScalar, parse
 
 # frozen 50-digit references for the sphere profile (mpmath besselj route)
 S_9_AT_2 = 0.1131264237919135424089
@@ -257,6 +259,52 @@ def test_exact_mode_drops_only_zero_coefficients():
             assert abs(radial_ft_closed(gauss, k, t) - math.exp(-math.pi * t * t)) < 1e-15
             want = radial_ft_closed(f_float, k, t)
             assert abs(radial_ft_closed(f, k, t) - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+# ---- the transform as one GaussPoly operator -------------------------------------
+
+# -1/(2 pi) exactly: Fhat_k(t) = -H(|t|)/(2 pi) with H = radial_transform(f, k)
+MINUS_ONE_OVER_2PI = PiScalar.of(Fraction(-1, 2), -1)
+# scales with rational square roots, so both transforms stay exact
+SQUARE_SCALES = [Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4)]
+
+
+def test_radial_transform_gaussian_exact():
+    gauss = GaussPoly([(1, [1])], exact=True)
+    for k in range(3, 23, 2):
+        assert radial_transform(gauss, k) == gauss.scale(PiScalar.of(-2, 1)), k
+
+
+@st.composite
+def exact_even_fs(draw):
+    terms = []
+    for a in draw(st.lists(st.sampled_from(SQUARE_SCALES), min_size=1, max_size=2,
+                           unique=True)):
+        even = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                             min_size=1, max_size=3))
+        poly = [0] * (2 * len(even) - 1)
+        poly[::2] = even
+        terms.append((a, poly))
+    return GaussPoly(terms, exact=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(exact_even_fs(), st.sampled_from([3, 5, 7, 9, 11]))
+def test_radial_transform_twice_is_identity(f, k):
+    once = radial_transform(f, k).scale(MINUS_ONE_OVER_2PI)
+    assert radial_transform(once, k).scale(MINUS_ONE_OVER_2PI) == f
+
+
+def test_radial_ft_closed_reads_the_operator():
+    f = parse("(t^4-t^2)*exp(-pi*t^2/2) + exp(-pi*3*t^2)").value
+    for k in (3, 9, 21):
+        h = radial_transform(f, k)
+        for t in (1e-6, 0.3, -1.7, 4.0):
+            assert radial_ft_closed(f, k, t) == -h.eval(abs(t)) / (2.0 * math.pi)
+    with pytest.raises(ValueError, match="even"):
+        radial_transform(parse("t*exp(-pi*t^2)").value, 5)
+    with pytest.raises(ValueError):
+        radial_transform(GAUSS, 4)
 
 
 # ---- operator recurrence --------------------------------------------------------
