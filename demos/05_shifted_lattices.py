@@ -3,7 +3,8 @@
 For eta, xi in R^k outside Z^k, the measure with nodes +-|m + eta| and
 phase weights e^{2 pi i <m, xi>}/|m + eta| has an explicitly computable
 transform supported on the nodes +-|m + xi|.  Both sides are evaluated
-through the atom-comb pairing.
+as series over shells |m + eta|^2 and |m + xi|^2, weighted by the phase
+sums on each shell, the same series as for the sqrt(n) nodes.
 """
 
 from fractions import Fraction

@@ -20,8 +20,8 @@ with locally finite support (``project_measure`` / ``project_ft``), where the
 shell weight r_k(n) is replaced by the sum of mu-weights on the sphere of
 radius |lambda| and an origin mass feeds the delta'_0 / d^(k-2)_0 atom.
 
-Every comb here, and the shifted-lattice combs of ``guinand.formulas``, is
-built by one of two builders from an origin weight and per-shell weights:
+Every comb here is built by one of two builders from an origin weight and
+per-shell weights:
 ``sigma_comb`` for the sigma type (weight/|v| at +-v) and ``sigma_hat_comb``
 for the sigma_hat type (beta-weighted derivative atoms at +-v).
 

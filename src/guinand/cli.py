@@ -154,13 +154,14 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_verify(args) -> int:
     phi = _parse_phi(args.phi)
-    report, *terms = formulas._verify(args.k, phi, args.nmax, **_workcap("table_cap"))
+    report, shell_rows = formulas._verify(args.k, phi, args.nmax, shell_rows=args.format == "csv",
+                                          **_workcap("table_cap"))
     if args.format == "csv":
         columns = ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")
         header = ["n", "r_k"] + [f"{col}_{part}" for col in columns for part in ("re", "im")]
         rows = [[row["n"], row["r_k"]] + [_fmt_float(x) for col in columns
                                           for x in (row[col].real, row[col].imag)]
-                for row in formulas._shell_rows(*terms)]
+                for row in shell_rows]
         _write_csv(args, header, rows)
     else:
         _write(args, _to_json(report.to_dict()) + "\n")

@@ -12,10 +12,10 @@ The inner sum over j, over n^((k-2)/2), is Q(sqrt n) for one GaussPoly Q
 (``radial._beta_quotient`` of psi, built once).  Q = (i/(2 pi)) H for H the
 radial transform of f = phi/t, so a right-hand term is r_k(n) Fhat_k(sqrt n).
 
-Each side has one term builder over the shells of an r_k table
-(``_lhs_terms``, ``_rhs_terms``).  ``verify`` builds the table once, feeds
-both builders, and reports the sums at truncation N with absolute and
-relative residuals and certified bounds on the discarded tails;
+Each side has one term builder (``_lhs_terms``, ``_rhs_terms``) over an
+origin weight and ascending (shell, weight) pairs, node sqrt(shell/den).
+``verify`` feeds both the shells of one r_k table and reports the sums at
+truncation N with residuals and certified bounds on the discarded tails;
 ``lhs_general``, ``rhs_general`` and ``shell_table`` sum the same terms.
 For k = 3 and k = 5 ``verify`` additionally evaluates the specialized explicit
 forms (i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n), and the
@@ -34,20 +34,21 @@ has transform
         e^{-2 pi i <m,eta>}/|m+xi|^(k-2)
         sum_j beta_jk |m+xi|^j ((-1)^j d^(j)_{|m+xi|} - d^(j)_{-|m+xi|}).
 
-Both sides are evaluated through the atom-comb pairing, with combs from the
-two builders of ``guinand.atoms``.  Since psi_hat is the reflection of phi
-and both distributions are odd, <sigma, phi> equals minus the pairing of
-the sigma_hat comb against psi, which is how the right-hand side is
-computed.  Lattice points are enumerated in integers scaled by D, the
-shift's common denominator; phases <m,xi> mod 1 are integer residues.
+Since psi_hat is the reflection of phi and both distributions are odd,
+<sigma, phi> is minus the pairing of sigma_hat against psi.  Nodes +-v pair
+to twice the +v term, so each side is 2 (2 e^{-2 pi i <eta,xi>} on the
+right) times the shell series with origin weight 0 and phase-sum weights.
+Lattice points are enumerated in integers scaled by D, the shift's common
+denominator: shells are D^2 |m+eta|^2, phases <m,xi> mod 1 integer residues.
 
 Tail policy (ours; the identities themselves say nothing about rates): the
 discarded shells are dominated by r_k(n) <= (2 sqrt(n) + 1)^k times the
 term's explicit polynomial-times-Gaussian envelope, summed with a geometric
-remainder certificate once the stepwise ratio bound drops below one; the
-lattice tails of the shifted case run the same way over radius bands.  The
-right-hand tails use the envelope of Q, so the beta_j pieces that cancel in
-it are never bounded one by one.  Bounds below 1e-300 are clamped to zero.
+remainder certificate once the stepwise ratio bound drops below one (within
+_TAIL_STEPS steps, else WorkCapExceeded is raised); the lattice tails of the
+shifted case run the same way over radius bands.  The right-hand tails use
+the envelope of Q, so the beta_j pieces that cancel in it are never bounded
+one by one.  Bounds below 1e-300 are clamped to zero.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .atoms import pair, sigma_comb, sigma_hat_comb
-from .coeffs import _check_odd_k, alpha, betas
+from .coeffs import _check_odd_k, alpha
 from .errors import WorkCapExceeded
 from .radial import _beta_quotient
 from .schwartz import GaussPoly
@@ -74,6 +74,7 @@ __all__ = [
 DEFAULT_N = 400
 DEFAULT_LATTICE_CAP = 10 ** 8
 _SPECIAL_FORM_RTOL = 1e-13
+_TAIL_STEPS = 100000
 
 
 @dataclass(frozen=True)
@@ -102,29 +103,28 @@ def _require_odd_phi(phi: GaussPoly, name: str = "phi") -> None:
 
 
 # --------------------------------------------------------------------------
-# the sqrt(n)-node series: one term builder per side
+# the shell series: one term builder per side
 # --------------------------------------------------------------------------
 
-def _lhs_terms(phi: GaussPoly, counts) -> list[tuple[int, int, complex]]:
-    """(n, r_k(n), term) for the left-hand series: (0, 1, phi'(0)), then
-    r_k(n)/sqrt(n) phi(sqrt n) for each nonempty shell, ascending n."""
-    terms = [(0, 1, phi.derivative().eval(0.0))]
-    for n, r in enumerate(counts):
-        if n and r:
-            s = math.sqrt(n)
-            terms.append((n, r, r / s * phi.eval(s)))
+def _lhs_terms(phi: GaussPoly, origin, shells, den: int) -> list[tuple]:
+    """(shell, weight, term) for the left-hand series: (0, origin, origin
+    phi'(0)), then w/v phi(v), v = sqrt(shell/den), for each of the ascending
+    (shell, w) pairs with shell and w nonzero."""
+    terms = [(0, origin, origin * phi.derivative().eval(0.0))]
+    for n, w in shells:
+        if n and w:
+            v = math.sqrt(n / den)
+            terms.append((n, w, w / v * phi.eval(v)))
     return terms
 
 
-def _rhs_terms(k: int, psi: GaussPoly, counts) -> list[tuple[int, int, complex]]:
-    """(n, r_k(n), term) for the right-hand series: (0, 1, i alpha_k
-    psi^(k-2)(0)), then i r_k(n) Q(sqrt n) for each nonempty shell, ascending
-    n (see the module docstring; psi must be odd)."""
-    q = _beta_quotient(psi, k)
-    terms = [(0, 1, 1j * alpha(k).to_float() * psi.derivative(k - 2).eval(0.0))]
-    for n, r in enumerate(counts):
-        if n and r:
-            terms.append((n, r, 1j * r * q.eval(math.sqrt(n))))
+def _rhs_terms(k: int, psi: GaussPoly, q: GaussPoly, origin, shells, den: int) -> list[tuple]:
+    """The same for the right-hand series: (0, origin, i origin alpha_k
+    psi^(k-2)(0)), then i w Q(v) with q = Q = ``_beta_quotient(psi, k)``."""
+    terms = [(0, origin, origin * 1j * alpha(k).to_float() * psi.derivative(k - 2).eval(0.0))]
+    for n, w in shells:
+        if n and w:
+            terms.append((n, w, 1j * w * q.eval(math.sqrt(n / den))))
     return terms
 
 
@@ -132,7 +132,8 @@ def lhs_general(k: int, phi: GaussPoly, N: int) -> complex:
     """phi'(0) + sum_{n<=N} r_k(n)/sqrt(n) phi(sqrt n), ascending n."""
     _check_odd_k(k)
     _require_odd_phi(phi)
-    return comp_sum(term for _, _, term in _lhs_terms(phi, rk_table(k, N).counts))
+    terms = _lhs_terms(phi, 1, enumerate(rk_table(k, N).counts), 1)
+    return comp_sum(term for _, _, term in terms)
 
 
 def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
@@ -141,7 +142,8 @@ def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
     the transform of an odd phi is."""
     _check_odd_k(k)
     _require_odd_phi(psi, "psi")
-    return comp_sum(term for _, _, term in _rhs_terms(k, psi, rk_table(k, N).counts))
+    terms = _rhs_terms(k, psi, _beta_quotient(psi, k), 1, enumerate(rk_table(k, N).counts), 1)
+    return comp_sum(term for _, _, term in terms)
 
 
 def _rhs_explicit_k3(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
@@ -173,10 +175,8 @@ def _rhs_explicit_k5(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_C
 
 
 def _shell_rows(lhs_terms, rhs_terms) -> list[dict]:
-    """Rows of matching terms with the running partial sums of both sides.
-
-    Row n = 0 reports each origin term as its accumulator's total, which
-    normalizes the sign of a zero part."""
+    """Rows of matching terms with the running partial sums of both sides; row
+    n = 0 shows each origin term as its accumulator's total (unsigned zeros)."""
     lhs_acc, rhs_acc = CompensatedSum(), CompensatedSum()
     rows = []
     for (n, r, lt), (_, _, rt) in zip(lhs_terms, rhs_terms):
@@ -190,16 +190,22 @@ def _shell_rows(lhs_terms, rhs_terms) -> list[dict]:
     return rows
 
 
-def _verify(k: int, phi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP):
-    """``verify``'s report and the term lists of both sides (the input of
-    ``_shell_rows``), from one r_k table of at most table_cap + 1 entries."""
+def _verify(k: int, phi: GaussPoly, N: int, *, shell_rows: bool = False,
+            table_cap: int = DEFAULT_TABLE_CAP):
+    """``verify``'s report and, if shell_rows is set, the ``_shell_rows`` whose
+    last partials are its sums (else None), from one r_k table."""
     _check_odd_k(k)
     _require_odd_phi(phi)
     psi = phi.fourier()
+    q = _beta_quotient(psi, k)
     counts = rk_table(k, N, table_cap=table_cap).counts
-    lhs_terms, rhs_terms = _lhs_terms(phi, counts), _rhs_terms(k, psi, counts)
-    lhs = comp_sum(term for _, _, term in lhs_terms)
-    rhs = comp_sum(term for _, _, term in rhs_terms)
+    lhs_terms = _lhs_terms(phi, 1, enumerate(counts), 1)
+    rhs_terms = _rhs_terms(k, psi, q, 1, enumerate(counts), 1)
+    rows = _shell_rows(lhs_terms, rhs_terms) if shell_rows else None
+    if rows:
+        lhs, rhs = rows[-1]["lhs_partial"], rows[-1]["rhs_partial"]
+    else:
+        lhs, rhs = (comp_sum(term for _, _, term in terms) for terms in (lhs_terms, rhs_terms))
     explicit = {3: _rhs_explicit_k3, 5: _rhs_explicit_k5}.get(k)
     if explicit is not None:
         special = explicit(psi, N, table_cap=table_cap)
@@ -215,11 +221,11 @@ def _verify(k: int, phi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CA
         abs_residual=abs(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=tail_bound(k, phi, N),
-        tail_bound_rhs=_sqrtn_tail(k, _beta_quotient(psi, k).envelope(0), N),
+        tail_bound_rhs=_sqrtn_tail(k, q.envelope(0), N),
         terms_used=len(lhs_terms) - 1,
         truncation={"N": N},
     )
-    return report, lhs_terms, rhs_terms
+    return report, rows
 
 
 def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N) -> VerificationReport:
@@ -234,11 +240,9 @@ def verify(k: int, phi: GaussPoly, N: int = DEFAULT_N) -> VerificationReport:
 
 
 def shell_table(k: int, phi: GaussPoly, N: int) -> list[dict]:
-    """Per-shell terms and running partial sums of both sides (plot data)."""
-    _check_odd_k(k)
-    _require_odd_phi(phi)
-    counts = rk_table(k, N).counts
-    return _shell_rows(_lhs_terms(phi, counts), _rhs_terms(k, phi.fourier(), counts))
+    """Per-shell terms and running partial sums of both sides (plot data):
+    the rows of ``verify --format csv``."""
+    return _verify(k, phi, N, shell_rows=True)[1]
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +264,7 @@ def _sqrtn_tail(k: int, pieces, N: int) -> float:
             continue
         n = N + 1
         sub = 0.0
-        for _ in range(100000):
+        for _ in range(_TAIL_STEPS):
             g = C * (2.0 * math.sqrt(n) + 1.0) ** k \
                 * math.pow(n, p / 2.0) * math.exp(-math.pi * a * n)
             if g == 0.0:
@@ -272,6 +276,8 @@ def _sqrtn_tail(k: int, pieces, N: int) -> float:
                 break
             sub += g
             n += 1
+        else:
+            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} shells past N={N}")
         total += sub
     return 0.0 if total < 1e-300 else total
 
@@ -354,8 +360,9 @@ def _phase(num: int, den: int) -> complex:
     return (1 + 0j, 1j, -1 + 0j, -1j)[quarter]
 
 
-def _phase_shells(k, shift, dual, R, cap) -> dict:
-    """{exact |m+shift|^2: sum of e^(2 pi i <m,dual>)} over |m+shift| <= R ((e, D) pairs)."""
+def _phase_shells(k, shift, dual, R, cap) -> list[tuple[int, complex]]:
+    """Ascending (D^2 |m+shift|^2, sum of e^(2 pi i <m,dual>)) over the shells
+    |m+shift| <= R, for shift = (e, D) and dual = (d, den) in integers."""
     d, den = dual
     phases: dict = {}  # one per residue that occurs: den may be a float's 2^55
     shells: dict = {}
@@ -364,29 +371,13 @@ def _phase_shells(k, shift, dual, R, cap) -> dict:
         if r not in phases:
             phases[r] = _phase(r, den)
         shells[nsq] = shells.get(nsq, 0j) + phases[r]
-    return {Fraction(nsq, shift[1] ** 2): w for nsq, w in shells.items()}
-
-
-def _shifted_sigma(k, eta, xi, R, cap):
-    """Truncated time-side comb: sum e^(2 pi i <m,xi>)/|m+eta| (d_v - d_-v)."""
-    return sigma_comb(k, 0, _phase_shells(k, eta, xi, R, cap), R=float(R), parity="odd")
-
-
-def _shifted_sigma_hat(k, eta, xi, R, cap):
-    """Truncated transform comb, prefactor -i e^(-2 pi i <eta,xi>) included
-    (the -i lives inside the comb builder)."""
-    (e, D), (x, Dx) = eta, xi
-    prefactor = _phase(-sum(a * b for a, b in zip(e, x)), D * Dx)
-    beta_f = [b.to_float() for b in betas(k)]
-    shells = _phase_shells(k, xi, (tuple(-a for a in e), D), R, cap)
-    pairs = ((nsq, [prefactor * shells[nsq] * bf for bf in beta_f]) for nsq in sorted(shells))
-    return sigma_hat_comb(k, 0, pairs, R=float(R), parity="none")
+    return sorted(shells.items())
 
 
 def shifted_lhs_direct(k: int, eta, xi, phi: GaussPoly, R: float,
                        *, cap: int = DEFAULT_LATTICE_CAP) -> complex:
-    """<sigma, phi> summed directly over lattice points (no comb), as an
-    independent route for cross-checking the comb pairing."""
+    """<sigma, phi> summed directly over lattice points, not over shells,
+    as an independent route for cross-checking the shell series."""
     _check_odd_k(k)
     eta = _check_shift(k, eta)
     x, Dx = _check_shift(k, xi)
@@ -401,22 +392,27 @@ def shifted_lhs_direct(k: int, eta, xi, phi: GaussPoly, R: float,
 def verify_shifted(k: int, eta, xi, phi: GaussPoly,
                    R_time: float, R_freq: float,
                    *, cap: int = DEFAULT_LATTICE_CAP) -> VerificationReport:
-    """Check the shifted-lattice identity through the comb pairing.
+    """Check the shifted-lattice identity through the shell series.
 
     LHS = <sigma, phi> over nodes |m+eta| <= R_time.  RHS = -<sigma_hat, psi>
     over nodes |m+xi| <= R_freq with psi the transform of phi: pairing
     sigma_hat against psi equals <sigma, psi_hat> = -<sigma, phi> because
-    psi_hat is the reflection of phi and sigma is odd.
+    psi_hat is the reflection of phi and sigma is odd.  Both pair +-v to
+    twice the term at +v, so each side is 2 times the series of ``verify``
+    with the phase sums as shell weights and no origin term.
     """
     _check_odd_k(k)
-    eta = _check_shift(k, eta)
-    xi = _check_shift(k, xi)
+    eta, xi = _check_shift(k, eta), _check_shift(k, xi)
     _require_odd_phi(phi)
+    (e, D), (x, Dx) = eta, xi
     psi = phi.fourier()
-    time_comb = _shifted_sigma(k, eta, xi, R_time, cap)
-    freq_comb = _shifted_sigma_hat(k, eta, xi, R_freq, cap)
-    lhs = pair(time_comb, phi)
-    rhs = -pair(freq_comb, psi)
+    q = _beta_quotient(psi, k)
+    lhs_terms = _lhs_terms(phi, 0, _phase_shells(k, eta, xi, R_time, cap), D * D)
+    freq_shells = _phase_shells(k, xi, (tuple(-a for a in e), D), R_freq, cap)
+    rhs_terms = _rhs_terms(k, psi, q, 0, freq_shells, Dx * Dx)
+    lhs = 2 * comp_sum(term for _, _, term in lhs_terms)
+    rhs = 2 * _phase(-sum(a * b for a, b in zip(e, x)), D * Dx) \
+        * comp_sum(term for _, _, term in rhs_terms)
     return VerificationReport(
         identity="shifted",
         k=k,
@@ -425,8 +421,8 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
         abs_residual=abs(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=_radius_tail(k, phi.envelope(-1), R_time),
-        tail_bound_rhs=_radius_tail(k, _beta_quotient(psi, k).envelope(0), R_freq),
-        terms_used=len(time_comb.atoms) + len(freq_comb.atoms),
+        tail_bound_rhs=_radius_tail(k, q.envelope(0), R_freq),
+        terms_used=len(lhs_terms) + len(rhs_terms) - 2,
         truncation={"R_time": float(R_time), "R_freq": float(R_freq)},
     )
 
@@ -448,7 +444,7 @@ def _radius_tail(k: int, pieces, R: float) -> float:
             continue
         peak = math.sqrt(max(p, 0) / (2.0 * math.pi * a)) if p > 0 else 0.0
         sub = 0.0
-        for j in range(100000):
+        for j in range(_TAIL_STEPS):
             lo = R + j
             count = (2.0 * lo + 5.0) ** k
             w = lo ** p if p < 0 else (lo + 1.0) ** p
@@ -464,6 +460,8 @@ def _radius_tail(k: int, pieces, R: float) -> float:
                     sub += g / (1.0 - ratio)
                     break
             sub += g
+        else:
+            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} bands past R={R:g}")
         total += sub
     return 0.0 if total < 1e-300 else total
 

@@ -251,3 +251,41 @@ def test_verify_csv_shell_table(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("n,r_k,lhs_term_re")
     assert len(lines) > 5
+
+
+def test_verify_csv_sums_each_side_once(capsys, monkeypatch):
+    # the CSV running partials are the only summation of each side (one add
+    # per row and side), and their last row is the JSON report's sums
+    from guinand.util import CompensatedSum
+
+    argv = ["verify", "--k", "7", "--phi", "t*exp(-pi*t^2/2)", "--nmax", "60"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    add, adds = CompensatedSum.add, []
+
+    def counting(self, z):
+        adds.append(z)
+        add(self, z)
+
+    monkeypatch.setattr(CompensatedSum, "add", counting)
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(adds) == 2 * (len(lines) - 1)
+    last = [float(x) for x in lines[-1].split(",")[6:]]
+    assert last == report["lhs"] + report["rhs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "3", "--phi", "t*exp(-pi*t^2/1000000000)", "--nmax", "400"],
+    ["verify-shifted", "--k", "3", "--eta", "1/2,0,0", "--xi", "0,1/3,0",
+     "--phi", "t*exp(-pi*t^2/100000000000)", "--r-time", "2", "--r-freq", "2"],
+], ids=["verify", "verify-shifted"])
+def test_uncertified_tail_exits_1(argv, capsys):
+    # a Gaussian so wide that the tail loop reaches no geometric certificate
+    # must stop the check, not report its partial sum as a bound
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "no tail certificate" in err

@@ -10,6 +10,8 @@ with r_3(n) counted by a direct two-coordinate scan (see r3_direct below,
 which re-confirms the counts here at float precision).
 """
 
+import cmath
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -17,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from guinand import formulas
+from guinand.atoms import pair, sigma_comb, sigma_hat_comb
 from guinand.coeffs import betas
 from guinand.errors import WorkCapExceeded
 from guinand.formulas import (
@@ -106,7 +109,8 @@ def test_rhs_terms_match_beta_ladder():
             counts = rk_table(k, 80).counts
             beta_f = [b.to_float() for b in betas(k)]
             derivs = [psi.derivative(j) for j in range(len(beta_f))]
-            got = formulas._rhs_terms(k, psi, counts)
+            got = formulas._rhs_terms(k, psi, formulas._beta_quotient(psi, k), 1,
+                                      enumerate(counts), 1)
             assert [(n, r) for n, r, _ in got[1:]] == [
                 (n, r) for n, r in enumerate(counts) if n and r]
             for n, r, term in got[1:]:
@@ -220,7 +224,8 @@ def test_rhs_tail_bounds_cover_discarded_terms():
                       (9, "(t^3-t)*exp(-pi*2*t^2)", 12), (13, "t*exp(-pi*4*t^2)", 15)):
         phi = parse(src).value
         rep = verify(k, phi, N)
-        far = formulas._rhs_terms(k, phi.fourier(), rk_table(k, 12 * N).counts)
+        far = formulas._rhs_terms(k, phi.fourier(), formulas._beta_quotient(phi.fourier(), k),
+                                  1, enumerate(rk_table(k, 12 * N).counts), 1)
         discarded = math.fsum(abs(term) for n, _, term in far if n > N)
         assert discarded > 1e-9 * abs(rep.rhs), (k, src)
         assert discarded <= rep.tail_bound_rhs, (k, src)
@@ -318,6 +323,57 @@ def test_shifted_comb_pairing_matches_direct_sum():
     rep = verify_shifted(3, eta, xi, phi, 5.0, 5.0)
     direct = shifted_lhs_direct(3, eta, xi, phi, 5.0)
     assert abs(rep.lhs - direct) <= 1e-13 * max(1.0, abs(direct))
+
+
+def _comb_oracle(k, eta, xi, phi, R_time, R_freq):
+    """(lhs, rhs) of the shifted identity in its sigma / sigma_hat comb form.
+
+    Lattice points come from a box scan in Fractions, shells are keyed by
+    the exact Fraction |m + shift|^2, and both combs come from the builders
+    of guinand.atoms and are paired with atoms.pair: no code is shared with
+    the shell series of verify_shifted.
+    """
+    eta, xi = [Fraction(x) for x in eta], [Fraction(x) for x in xi]
+
+    def phase(x):
+        return cmath.exp(2j * math.pi * float(x % 1))
+
+    def shells(shift, dual, R):
+        R = Fraction(R)
+        out = {}
+        ranges = [range(math.ceil(-R - s), math.floor(R - s) + 1) for s in shift]
+        for m in itertools.product(*ranges):
+            nsq = sum((mi + s) ** 2 for mi, s in zip(m, shift))
+            if nsq <= R * R:
+                out[nsq] = out.get(nsq, 0j) + phase(sum(mi * d for mi, d in zip(m, dual)))
+        return out
+
+    time_comb = sigma_comb(k, 0, shells(eta, xi, R_time))
+    prefactor = phase(-sum(a * b for a, b in zip(eta, xi)))
+    beta_f = [b.to_float() for b in betas(k)]
+    freq = shells(xi, [-a for a in eta], R_freq)
+    freq_comb = sigma_hat_comb(k, 0, ((nsq, [prefactor * freq[nsq] * bf for bf in beta_f])
+                                      for nsq in sorted(freq)))
+    return pair(time_comb, phi), -pair(freq_comb, phi.fourier())
+
+
+@pytest.mark.parametrize("k, eta, xi, src, R_time, R_freq", [
+    (3, "1/3,0,1/2", "1/4,1/2,0", "t*exp(-pi*t^2/2)", 4, 4),
+    (3, "2/3,-4/5,5/6", "1/5,1/2,-2/3", "(t+0.5*t^3)*exp(-pi*t^2)", 5, 5),
+    (5, "1/2,0,0,1/3,0", "0,1/4,0,0,1/5", "t*exp(-pi*t^2)", 3, 3.5),
+    (7, "1/2,0,0,0,0,0,0", "0,1/3,0,0,0,0,0", "t*exp(-pi*t^2)", 1.5, 1.5),
+], ids=["k3", "k3-mixed", "k5", "k7"])
+def test_verify_shifted_matches_comb_pairing(k, eta, xi, src, R_time, R_freq):
+    # the shell series of verify_shifted against the sigma / sigma_hat comb
+    # form of the same truncated identity, side by side
+    eta = [Fraction(x) for x in eta.split(",")]
+    xi = [Fraction(x) for x in xi.split(",")]
+    phi = parse(src).value
+    rep = verify_shifted(k, eta, xi, phi, R_time, R_freq)
+    lhs, rhs = _comb_oracle(k, eta, xi, phi, R_time, R_freq)
+    assert abs(lhs) > 0.1 and abs(rhs) > 0.1
+    assert abs(rep.lhs - lhs) <= 1e-13 * abs(lhs)
+    assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs)
 
 
 def test_shifted_tail_bound_covers_discarded_mass():
