@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import _check_odd_k, alpha, betas
+from .coeffs import _check_odd_k, alpha, betas, round_multiples
 from .schwartz import GaussPoly
 from .sumsq import DEFAULT_TABLE_CAP, rk_table
 from .util import CompensatedSum
@@ -142,24 +142,32 @@ def sigma_hat_comb(k: int, origin: complex, shells, **meta) -> AtomComb:
 def sigma_k(k: int, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> AtomComb:
     """Truncation of sigma_k to shells n <= N (plus the origin atom)."""
     _check_odd_k(k)
-    counts = rk_table(k, N, table_cap=table_cap).counts
+    return _sigma_k(k, rk_table(k, N, table_cap=table_cap).counts)
+
+
+def _sigma_k(k: int, counts) -> AtomComb:
+    """sigma_k on the shells of a table counts = (r_k(0), ..., r_k(N)); k odd."""
     shells = {n: complex(r) for n, r in enumerate(counts) if n and r}
-    return sigma_comb(k, complex(1.0), shells, N=N, parity="odd")
+    return sigma_comb(k, complex(1.0), shells, N=len(counts) - 1, parity="odd")
 
 
 def sigma_k_hat(k: int, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> AtomComb:
     """Truncation of the transform of sigma_k to shells n <= N.
 
-    The rational-times-pi parts of the weights (r_k(n) * beta_jk) are kept
-    exact and converted to float once per atom; only the sqrt(n) powers are
-    floating point.
+    The rational-times-pi parts of the weights, r_k(n) * beta_jk, are exact:
+    each beta_jk is written once as integers P_j/Q_j (pi as 50 digits), and
+    each weight is rounded once, as (r_k(n) * P_j) / Q_j by
+    ``coeffs.round_multiples``.  Only the sqrt(n) powers are floating point.
     """
     _check_odd_k(k)
-    counts = rk_table(k, N, table_cap=table_cap).counts
-    beta_list = betas(k)
-    shells = ((n, [(r * b).to_float() for b in beta_list])
-              for n, r in enumerate(counts) if n and r)
-    return sigma_hat_comb(k, complex(1.0), shells, N=N, parity="odd")
+    return _sigma_k_hat(k, rk_table(k, N, table_cap=table_cap).counts)
+
+
+def _sigma_k_hat(k: int, counts) -> AtomComb:
+    """sigma_k_hat on the shells of a table counts = (r_k(0), ..., r_k(N)); k odd."""
+    ratios = [b.ratio() for b in betas(k)]
+    shells = ((n, round_multiples(r, ratios)) for n, r in enumerate(counts) if n and r)
+    return sigma_hat_comb(k, complex(1.0), shells, N=len(counts) - 1, parity="odd")
 
 
 # --------------------------------------------------------------------------

@@ -93,6 +93,17 @@ def _parse_vector(text: str) -> tuple:
         raise _UsageError(f"bad vector {text!r}: {exc}") from None
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float option and of each part of --t-grid."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_grid(args) -> list[float]:
     if args.t is not None and args.t_grid is not None:
         raise _UsageError("give either --t or --t-grid, not both")
@@ -101,12 +112,17 @@ def _parse_grid(args) -> list[float]:
     if args.t_grid is None:
         raise _UsageError("one of --t or --t-grid is required")
     try:
-        a, b, step = (float(x) for x in args.t_grid.split(":"))
-    except ValueError:
+        a, b, step = (_finite_float(x) for x in args.t_grid.split(":"))
+    except ValueError:  # not three parts
         raise _UsageError(f"bad --t-grid {args.t_grid!r}; expected a:b:step") from None
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"bad --t-grid {args.t_grid!r}; expected a:b:step ({exc})") from None
     if step <= 0 or b < a:
         raise _UsageError("grid requires a <= b and step > 0")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
+    steps = (b - a) / step
+    if not math.isfinite(steps):
+        raise _UsageError(f"--t-grid {args.t_grid!r} has too many points")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [a + i * step for i in range(count)]
 
 
@@ -181,8 +197,10 @@ def _cmd_verify_shifted(args) -> int:
 def _cmd_duality(args) -> int:
     phi = _parse_phi(args.phi)
     cap = _workcap("table_cap")
-    hat_phi = atoms.pair(atoms.sigma_k_hat(args.k, args.nmax, **cap), phi)
-    sig_psi = atoms.pair(atoms.sigma_k(args.k, args.nmax, **cap), phi.fourier())
+    coeffs._check_odd_k(args.k)  # before the table, as sigma_k_hat checks it
+    counts = sumsq.rk_table(args.k, args.nmax, **cap).counts  # one table, both combs
+    hat_phi = atoms.pair(atoms._sigma_k_hat(args.k, counts), phi)
+    sig_psi = atoms.pair(atoms._sigma_k(args.k, counts), phi.fourier())
     rel = rel_diff(hat_phi, sig_psi)
     obj = {"k": args.k, "N": args.nmax,
            "pair_sigma_hat_phi": hat_phi, "pair_sigma_phi_hat": sig_psi,
@@ -265,7 +283,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", required=True, help="odd test function expression")
     p.add_argument("--nmax", type=int, default=formulas.DEFAULT_N)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
@@ -275,9 +293,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", required=True, help="comma-separated rationals")
     p.add_argument("--xi", required=True, help="comma-separated rationals")
     p.add_argument("--phi", required=True)
-    p.add_argument("--r-time", type=float, default=6.0, dest="r_time")
-    p.add_argument("--r-freq", type=float, default=6.0, dest="r_freq")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--r-time", type=_finite_float, default=6.0, dest="r_time")
+    p.add_argument("--r-freq", type=_finite_float, default=6.0, dest="r_freq")
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     add_common(p)
     p.set_defaults(fn=_cmd_verify_shifted)
 
@@ -286,25 +304,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--nmax", type=int, default=formulas.DEFAULT_N)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     add_common(p)
     p.set_defaults(fn=_cmd_duality)
 
     p = sub.add_parser("radial-ft", help="odd-dimension radial transform of an even f")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--f", required=True, help="even test function expression")
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--t-grid", default=None, dest="t_grid", help="a:b:step")
     p.add_argument("--methods", default="closed",
                    help="comma list from closed,quadrature,zero")
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p)
     p.set_defaults(fn=_cmd_radial_ft)
 
     p = sub.add_parser("sphere-ft", help="sphere surface-measure transform profile")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--t-grid", default=None, dest="t_grid", help="a:b:step")
     p.add_argument("--methods", default="closed,bessel,recurrence,besselpoly")
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -7,8 +7,14 @@ The two coefficient families are, for odd k >= 3 and 0 <= j <= (k-3)/2,
 
 Both are rational multiples of pi^(-(k-3)/2); the powers of two are folded
 into the rational part and the pi power is kept symbolic, so every identity
-between coefficients can be checked without rounding.  ``to_float`` is the
-only place a value is ever rounded, and it rounds once, from a 50-digit pi.
+between coefficients can be checked without rounding.  A ScaledRational
+(or an integer multiple of one) is rounded in one place only,
+``round_multiples``.  It takes the integers (P, Q) of
+``ScaledRational.ratio``, the value with pi replaced by a 50-digit pi, and
+returns the integer true quotient (r*P)/Q, which Python rounds correctly,
+once, exactly as ``float(Fraction(r*P, Q))`` does.  ``to_float`` is
+``round_multiples`` with r = 1, and ``atoms.sigma_k_hat`` rounds each shell
+weight r_k(n)*beta_j_k through it from one (P, Q) per j.
 
 The Bessel polynomials theta_n are the integer polynomials with
 
@@ -99,9 +105,14 @@ class ScaledRational:
             return hash(0)
         return hash((self.num, self.den, self.pi_power))
 
+    def ratio(self) -> tuple[int, int]:
+        """(P, Q) with P/Q the value at pi = PI_50, exactly; Q > 0."""
+        value = self.fraction * PI_50 ** self.pi_power
+        return value.numerator, value.denominator
+
     def to_float(self) -> float:
-        """Round once: exact Fraction arithmetic against 50 digits of pi."""
-        return float(self.fraction * PI_50 ** self.pi_power)
+        """Round once: the value at 50 digits of pi, as ``round_multiples`` rounds."""
+        return round_multiples(1, [self.ratio()])[0]
 
     def __str__(self) -> str:
         if self.num == 0:
@@ -111,6 +122,16 @@ class ScaledRational:
             return rat
         pi = "pi" if self.pi_power == 1 else f"pi^{self.pi_power}"
         return f"{rat} * {pi}"
+
+
+def round_multiples(r: int, ratios) -> list[float]:
+    """[(r*P)/Q for each (P, Q)]: every value r*P/Q correctly rounded, once.
+
+    The one place a ScaledRational becomes a float.  Integer true division
+    rounds the exact quotient, so the result does not depend on whether P/Q
+    is in lowest terms and equals float(Fraction(r*P, Q)) bit for bit.
+    """
+    return [r * p / q for p, q in ratios]
 
 
 def _check_odd_k(k: int, minimum: int = 3) -> None:

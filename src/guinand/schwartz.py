@@ -181,9 +181,14 @@ def _is_zero_coeff(c) -> bool:
 
 
 class GaussPoly:
-    """Immutable sum of terms p(t) * exp(-pi * a * t^2) with distinct a > 0."""
+    """Immutable sum of terms p(t) * exp(-pi * a * t^2) with distinct a > 0.
 
-    __slots__ = ("terms", "exact")
+    ``terms`` and ``exact`` are the value; ``==`` and ``hash`` read only
+    them.  ``_plan`` is the float evaluation plan that ``eval`` stores on
+    its first call (None until then).
+    """
+
+    __slots__ = ("terms", "exact", "_plan")
 
     def __init__(self, terms=(), exact: bool = False):
         merged: dict = {}
@@ -216,6 +221,7 @@ class GaussPoly:
                 out.append((a, tuple(coeffs)))
         object.__setattr__(self, "terms", tuple(out))
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GaussPoly is immutable")
@@ -269,13 +275,24 @@ class GaussPoly:
     # ---- analysis --------------------------------------------------------
 
     def eval(self, t: float) -> complex:
-        """Value at a real point: Horner per term times the Gaussian factor."""
+        """Value at a real point: Horner per term times the Gaussian factor.
+
+        The first call stores the plan (-pi*a, coefficients as complex
+        doubles from the highest power down) per term; every call runs the
+        same Horner steps and exp(-pi*a * t^2) on it, so a value does not
+        depend on whether the plan was just built.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = tuple((-math.pi * float(a), tuple(complex(c) for c in reversed(coeffs)))
+                         for a, coeffs in self.terms)
+            object.__setattr__(self, "_plan", plan)
         total = 0j
-        for a, coeffs in self.terms:
+        for neg_pi_a, coeffs in plan:
             acc = 0j
-            for c in reversed(coeffs):
-                acc = acc * t + complex(c)
-            total += acc * math.exp(-math.pi * float(a) * (t * t))
+            for c in coeffs:
+                acc = acc * t + c
+            total += acc * math.exp(neg_pi_a * (t * t))
         return total
 
     def derivative(self, order: int = 1) -> "GaussPoly":

@@ -1,4 +1,9 @@
-"""Small numeric helpers."""
+"""Small numeric helpers: the package's one summation primitive and a
+relative difference.
+
+Every term of every series passes through ``CompensatedSum.add``, so it
+writes the Neumaier step out inline instead of calling a helper.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,9 @@ class CompensatedSum:
 
     The result is deterministic for a fixed order of ``add`` calls, which is
     what makes pairing and series evaluation reproducible run to run.
+    ``add`` runs the Neumaier step inline, once on the real parts and once
+    on the imaginary parts: s + x, then the lost low part of whichever of s
+    and x is larger in magnitude goes into the compensation.
     """
 
     __slots__ = ("_sr", "_si", "_cr", "_ci")
@@ -20,21 +28,24 @@ class CompensatedSum:
 
     def add(self, z: complex) -> None:
         z = complex(z)
-        self._sr, self._cr = _neumaier_step(self._sr, self._cr, z.real)
-        self._si, self._ci = _neumaier_step(self._si, self._ci, z.imag)
+        s, x = self._sr, z.real
+        t = s + x
+        if abs(s) >= abs(x):
+            self._cr += (s - t) + x
+        else:
+            self._cr += (x - t) + s
+        self._sr = t
+        s, x = self._si, z.imag
+        t = s + x
+        if abs(s) >= abs(x):
+            self._ci += (s - t) + x
+        else:
+            self._ci += (x - t) + s
+        self._si = t
 
     @property
     def total(self) -> complex:
         return complex(self._sr + self._cr, self._si + self._ci)
-
-
-def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
 
 
 def comp_sum(values) -> complex:

@@ -7,9 +7,10 @@ import pytest
 
 from guinand.atoms import (
     Atom, comb_from_json, comb_to_json, make_comb, pair, point_measure,
-    project_ft, project_measure, sigma_k, sigma_k_hat,
+    project_ft, project_measure, sigma_hat_comb, sigma_k, sigma_k_hat,
 )
-from guinand.coeffs import alpha
+from guinand.coeffs import PI_50, alpha, betas
+from guinand.sumsq import rk_table
 from guinand.schwartz import parse
 
 E_MINUS_PI = 0.043213918263772249774
@@ -113,6 +114,16 @@ def test_sigma_hat_k7_origin_only():
     assert (atom.location, atom.order) == (0.0, 5)
     assert atom.weight == 2j * alpha(7).to_float()
     assert abs(atom.weight.imag - 2 / (60 * math.pi ** 2)) < 1e-17
+
+
+@pytest.mark.parametrize("k", range(3, 22, 2))
+def test_sigma_k_hat_weights_round_like_fraction(k):
+    # each shell weight r_k(n) beta_jk, rounded from its own exact Fraction
+    N = 300
+    shells = ((n, [float((r * b).fraction * PI_50 ** b.pi_power) for b in betas(k)])
+              for n, r in enumerate(rk_table(k, N).counts) if n and r)
+    want = sigma_hat_comb(k, complex(1.0), shells, N=N, parity="odd")
+    assert sigma_k_hat(k, N).atoms == want.atoms
 
 
 def test_duality_pairing_at_truncation(odd_suite):

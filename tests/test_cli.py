@@ -1,10 +1,16 @@
 """Command-line contract: exit codes, determinism, formats, work caps."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from guinand.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -205,6 +211,55 @@ def test_workcap_env_override_table_builds(argv, capsys, monkeypatch):
     assert "cap" in err
     monkeypatch.setenv("GUINAND_WORKCAP", "100")
     assert run(argv, capsys)[0] == 0
+
+
+def test_duality_builds_one_table(capsys, monkeypatch):
+    # both combs of one duality run come from the same r_k table
+    from guinand import atoms, sumsq
+
+    build, calls = sumsq.rk_table, []
+
+    def counting(k, max_n, **kwargs):
+        calls.append((k, max_n))
+        return build(k, max_n, **kwargs)
+
+    monkeypatch.setattr(sumsq, "rk_table", counting)
+    monkeypatch.setattr(atoms, "rk_table", counting)
+    assert run(["duality", "--k", "5", "--phi", "t*exp(-pi*t^2)",
+                "--nmax", "100"], capsys)[0] == 0
+    assert calls == [(5, 100)]
+
+
+NON_FINITE = [
+    ["radial-ft", "--k", "3", "--f", "exp(-pi*t^2)", "--t-grid", "0:inf:1"],
+    ["radial-ft", "--k", "3", "--f", "exp(-pi*t^2)", "--t-grid", "0:1e300:1e-300"],
+    ["sphere-ft", "--k", "5", "--t-grid", "-1e308:1e308:1"],
+    ["sphere-ft", "--k", "5", "--t-grid", "0:1:nan"],
+    ["verify-shifted", "--k", "3", "--eta", "1/2,0,0", "--xi", "1/3,0,0",
+     "--phi", "t*exp(-pi*t^2)", "--r-time", "inf"],
+    ["verify-shifted", "--k", "3", "--eta", "1/2,0,0", "--xi", "1/3,0,0",
+     "--phi", "t*exp(-pi*t^2)", "--r-freq", "-inf"],
+    ["radial-ft", "--k", "3", "--f", "exp(-pi*t^2)", "--t", "inf",
+     "--methods", "quadrature"],
+    ["sphere-ft", "--k", "5", "--t", "nan"],
+    ["verify", "--k", "3", "--phi", "t*exp(-pi*t^2)", "--tol", "nan"],
+    ["duality", "--k", "3", "--phi", "t*exp(-pi*t^2)", "--tol", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=[
+    "grid-inf", "grid-count-overflow", "grid-span-overflow", "grid-nan", "r-time-inf",
+    "r-freq-minus-inf", "t-inf-quadrature", "t-nan", "tol-nan", "tol-inf"])
+def test_non_finite_floats_exit_1(argv):
+    # each runs as a real command line, so an escaped exception shows as a
+    # traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "guinand.cli", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("k", [3, 5])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from guinand.coeffs import (
-    ScaledRational, alpha, bessel_poly, beta, beta_bessel_crosscheck,
+    PI_50, ScaledRational, alpha, bessel_poly, beta, beta_bessel_crosscheck, betas,
     double_factorial,
 )
 
@@ -71,6 +71,16 @@ def test_scaled_rational_to_float_against_mpmath():
         want = mp.mpf(sr.num) / sr.den * mp.pi ** sr.pi_power
         got = sr.to_float()
         assert abs(got - float(want)) <= abs(float(want)) * 2.3e-16
+
+
+def test_to_float_rounds_like_fraction():
+    # integer true division P/Q rounds as float(Fraction) does, bit for bit
+    cases = [alpha(k) for k in range(3, 42, 2)]
+    cases += [b for k in range(3, 42, 2) for b in betas(k)]
+    cases += [r * b for b in betas(41)[::4]
+              for r in (10 ** 15 - 1, 10 ** 15, 10 ** 15 + 7, 2 ** 50 + 1)]
+    for sr in cases:
+        assert sr.to_float() == float(sr.fraction * PI_50 ** sr.pi_power), sr
 
 
 def test_scaled_rational_arithmetic_is_exact():

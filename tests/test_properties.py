@@ -15,6 +15,7 @@ from guinand.formulas import (
     lhs_general, rhs_general, shell_table, shifted_nodes, verify,
 )
 from guinand.schwartz import GaussPoly, parse
+from guinand.util import CompensatedSum
 
 settings.register_profile("guinand", max_examples=40, deadline=None,
                           derandomize=True, database=None)
@@ -127,3 +128,69 @@ def test_shifted_nodes_match_brute_force(case):
     k, eta, R = case
     got = [(n["m"], n["node"]) for n in shifted_nodes(k, eta, R)]
     assert got == _brute_force_nodes(eta, R)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    # hex strings tell -0.0 from 0.0, unlike ==
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _plain_horner(f: GaussPoly, t: float) -> complex:
+    """GaussPoly.eval written as one loop over the terms, no stored state."""
+    total = 0j
+    for a, coeffs in f.terms:
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * t + complex(c)
+        total += acc * math.exp(-math.pi * float(a) * (t * t))
+    return total
+
+
+# 0, signed zero, ordinary points of both signs, and points far enough out
+# that every Gaussian factor underflows to 0
+EVAL_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 40.0, -40.0, 1e3, -1e3]),
+                        st.floats(min_value=-8.0, max_value=8.0))
+
+
+@given(st.one_of(float_polys(), exact_polys()), st.integers(0, 3), st.booleans(),
+       EVAL_POINTS)
+def test_eval_matches_plain_horner(f, order, transform, t):
+    def build():
+        return (f.fourier() if transform else f).derivative(order)
+
+    g, twin = build(), build()
+    key = hash(g)
+    want = _bits(_plain_horner(g, t))
+    assert _bits(g.eval(t)) == want
+    assert _bits(g.eval(t)) == want  # second call runs on the stored plan
+    assert g == twin and hash(g) == hash(twin) == key
+    assert _bits(twin.eval(-t)) == _bits(_plain_horner(twin, -t))
+
+
+def _neumaier(xs) -> float:
+    s = c = 0.0
+    for x in xs:
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s + c
+
+
+MIXED = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+              st.floats(min_value=1.0, max_value=9.99), st.integers(-300, 299),
+              st.sampled_from([1.0, -1.0])))
+
+
+@given(st.lists(st.builds(complex, MIXED, MIXED), max_size=40))
+def test_compensated_sum_is_neumaier(values):
+    acc = CompensatedSum()
+    for z in values:
+        acc.add(z)
+    want = complex(_neumaier(z.real for z in values), _neumaier(z.imag for z in values))
+    assert _bits(acc.total) == _bits(want)
