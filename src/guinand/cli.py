@@ -5,9 +5,17 @@ duality.  Reports are JSON (field names mirroring VerificationReport,
 floats with 17 significant digits, complex values as [re, im] pairs) or CSV
 plot data; identical argv produces byte-identical output.  Exit status: 0
 when every checked residual is within tolerance, 2 on a residual failure,
-1 on usage, parse, or work-cap errors.
+1 on usage, parse, or work-cap errors; an --output path that cannot be
+written is such an error ("error: cannot write PATH: reason").
 
-GUINAND_WORKCAP overrides the enumeration and table caps.
+Each call builds its own parser from the table ``_COMMANDS``.  The parser
+lists every subcommand, so help, usage and invalid-choice errors read as for
+the full parser, but it holds the options of the called subcommand alone,
+the only ones parsed.
+
+A --t-grid of more than DEFAULT_GRID_CAP = 10**6 points is refused before it
+is built.  GUINAND_WORKCAP overrides this grid cap and the enumeration and
+table caps.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from .errors import ParseError, QuadratureError, WorkCapExceeded
 from .schwartz import GaussPoly, parse
 from .util import rel_diff
 
+DEFAULT_GRID_CAP = 10 ** 6  # points of a --t-grid
+
 
 class _UsageError(Exception):
     pass
@@ -36,37 +46,64 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} in report")
     return format(x, ".17g")
 
 
+def _json_str(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _json_dict(obj: dict, prefixes: dict | None = None) -> str:
+    """``prefixes`` maps str(key) to its '"key": ' text; the dicts of one list
+    share it, so the keys of a report's rows are quoted once per list."""
+    if prefixes is None:
+        prefixes = {}
+    parts = []
+    for key, val in obj.items():
+        key = str(key)
+        prefix = prefixes.get(key)
+        if prefix is None:
+            prefix = prefixes[key] = _json_str(key) + ": "
+        parts.append(prefix + _to_json(val))
+    return "{" + ", ".join(parts) + "}"
+
+
+def _json_list(obj) -> str:
+    prefixes: dict = {}
+    return "[" + ", ".join([_json_dict(v, prefixes) if type(v) is dict else _to_json(v)
+                            for v in obj]) + "]"
+
+
+# exact type -> writer; a report holds no subclasses of these
+_JSON_WRITERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: str,
+    float: _fmt_float,
+    complex: lambda z: f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]",
+    str: _json_str,
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+}
+
+
 def _to_json(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{_to_json(str(key))}: {_to_json(val)}"
-                          for key, val in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    writer = _JSON_WRITERS.get(type(obj))
+    if writer is None:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return writer(obj)
 
 
 def _write(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -123,6 +160,10 @@ def _parse_grid(args) -> list[float]:
     if not math.isfinite(steps):
         raise _UsageError(f"--t-grid {args.t_grid!r} has too many points")
     count = int(math.floor(steps + 1e-9)) + 1
+    cap = _workcap("cap").get("cap", DEFAULT_GRID_CAP)
+    if count > cap:  # refused from the count, before the grid is built
+        raise WorkCapExceeded(f"--t-grid {args.t_grid!r} has {count} points, "
+                              f"more than the cap {cap}")
     return [a + i * step for i in range(count)]
 
 
@@ -257,78 +298,66 @@ def _cmd_sphere_ft(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+# --------------------------------------------------------------------------
+# the parser
+# --------------------------------------------------------------------------
+
+_K = ("--k", {"type": int, "required": True})
+_NMAX = ("--nmax", {"type": int, "default": formulas.DEFAULT_N})
+_GRID = [("--t", {"type": _finite_float}), ("--t-grid", {"help": "a:b:step"})]
+
+
+def _tol(default: float, **kwargs) -> tuple:
+    return "--tol", {"type": _finite_float, "default": default, **kwargs}
+
+
+def _format(*choices: str) -> tuple:  # the first choice is the default
+    return "--format", {"choices": choices, "default": choices[0]}
+
+
+# name -> (help, handler, options in help order); each also takes --output
+_COMMANDS = {
+    "rk": ("sum-of-squares table r_k(n)", _cmd_rk,
+           [_K, ("--nmax", {"type": int, "required": True}), _format("json", "csv")]),
+    "coeffs": ("exact alpha and beta coefficients", _cmd_coeffs,
+               [_K, _format("exact", "float", "json")]),
+    "verify": ("two-sided check of the summation identity", _cmd_verify,
+               [_K, ("--phi", {"required": True, "help": "odd test function expression"}),
+                _NMAX, _tol(1e-9), _format("json", "csv")]),
+    "verify-shifted": ("shifted-lattice identity check", _cmd_verify_shifted,
+                       [_K, ("--eta", {"required": True, "help": "comma-separated rationals"}),
+                        ("--xi", {"required": True, "help": "comma-separated rationals"}),
+                        ("--phi", {"required": True}),
+                        ("--r-time", {"type": _finite_float, "default": 6.0}),
+                        ("--r-freq", {"type": _finite_float, "default": 6.0}), _tol(1e-8)]),
+    "duality": ("pair sigma_k_hat against phi vs sigma_k against the transform of phi",
+                _cmd_duality, [_K, ("--phi", {"required": True}), _NMAX, _tol(1e-9)]),
+    "radial-ft": ("odd-dimension radial transform of an even f", _cmd_radial_ft,
+                  [_K, ("--f", {"required": True, "help": "even test function expression"}),
+                   *_GRID, ("--methods", {"default": "closed",
+                                          "help": "comma list from closed,quadrature,zero"}),
+                   _tol(1e-10, help="quadrature tolerance"), _format("json", "csv")]),
+    "sphere-ft": ("sphere surface-measure transform profile", _cmd_sphere_ft,
+                  [_K, *_GRID, ("--methods", {"default": "closed,bessel,recurrence,besselpoly"}),
+                   _format("json", "csv")]),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """A parser that lists every subcommand, so help, usage and invalid-choice
+    errors are those of the full parser, but holds the options of ``command``
+    alone (its --help included): only that subcommand's arguments are parsed."""
     parser = _Parser(prog="guinand",
                      description="Verify summation formulas with nodes at "
                                  "+-sqrt(n) and sum-of-squares weights.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
-
-    p = sub.add_parser("rk", help="sum-of-squares table r_k(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    add_common(p)
-    p.set_defaults(fn=_cmd_rk)
-
-    p = sub.add_parser("coeffs", help="exact alpha and beta coefficients")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=["exact", "float", "json"], default="exact")
-    add_common(p)
-    p.set_defaults(fn=_cmd_coeffs)
-
-    p = sub.add_parser("verify", help="two-sided check of the summation identity")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--phi", required=True, help="odd test function expression")
-    p.add_argument("--nmax", type=int, default=formulas.DEFAULT_N)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    add_common(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("verify-shifted", help="shifted-lattice identity check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eta", required=True, help="comma-separated rationals")
-    p.add_argument("--xi", required=True, help="comma-separated rationals")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--r-time", type=_finite_float, default=6.0, dest="r_time")
-    p.add_argument("--r-freq", type=_finite_float, default=6.0, dest="r_freq")
-    p.add_argument("--tol", type=_finite_float, default=1e-8)
-    add_common(p)
-    p.set_defaults(fn=_cmd_verify_shifted)
-
-    p = sub.add_parser("duality", help="pair sigma_k_hat against phi vs "
-                                       "sigma_k against the transform of phi")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--nmax", type=int, default=formulas.DEFAULT_N)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
-    add_common(p)
-    p.set_defaults(fn=_cmd_duality)
-
-    p = sub.add_parser("radial-ft", help="odd-dimension radial transform of an even f")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", required=True, help="even test function expression")
-    p.add_argument("--t", type=_finite_float, default=None)
-    p.add_argument("--t-grid", default=None, dest="t_grid", help="a:b:step")
-    p.add_argument("--methods", default="closed",
-                   help="comma list from closed,quadrature,zero")
-    p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    add_common(p)
-    p.set_defaults(fn=_cmd_radial_ft)
-
-    p = sub.add_parser("sphere-ft", help="sphere surface-measure transform profile")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=_finite_float, default=None)
-    p.add_argument("--t-grid", default=None, dest="t_grid", help="a:b:step")
-    p.add_argument("--methods", default="closed,bessel,recurrence,besselpoly")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    add_common(p)
-    p.set_defaults(fn=_cmd_sphere_ft)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
+        if name == command:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--output", help="write to file instead of stdout")
+            p.set_defaults(fn=handler)
     return parser
 
 
@@ -346,9 +375,12 @@ def _join_dash_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    # no top-level option takes a value, so the first token that is not an
+    # option is the one argparse reads as the subcommand
+    command = next((token for token in argv if token[:1] != "-"), None)
     try:
-        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+        args = _build_parser(command).parse_args(argv)
         return args.fn(args)
     except ParseError as exc:  # a ValueError, so it must come first
         print(f"parse error at byte {exc.offset}: {exc.reason}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Digest of the command line's output on a fixed set of benchmark jobs.
+"""Digest of the command line's output on fixed benchmark jobs and front-end lines.
 
     python3 tests/byte_compare.py OUT.json [--seeds 1,2,3] [--lists 0,1]
 
@@ -11,6 +11,11 @@ one process, and writes one sha256 per job over its exit status, stdout and
 stderr.  An exception that escapes ``main`` is recorded by its type and
 message, not its traceback, so file paths never enter a digest.
 
+The front-end command lines of ``golden/frontend.json`` (help, usage and
+argparse errors) are digested too, under ``frontend/<name>`` keys, with
+``COLUMNS=80`` so that argparse wraps help text the same way on any terminal.
+To compare with a checkout that lacks this script or that file, copy both in.
+
 The file is not collected by pytest (its name does not start with test_).
 """
 
@@ -21,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -62,7 +68,10 @@ def main() -> int:
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     lists = [int(b) for b in args.lists.split(",")]
-    jobs = {}
+    os.environ["COLUMNS"] = "80"
+    frontend = json.loads((ROOT / "tests" / "golden" / "frontend.json").read_text("utf-8"))
+    jobs = {f"frontend/{name}": {"argv": case["argv"], "sha256": digest(*run_job(case["argv"]))}
+            for name, case in frontend.items()}
     for workload in workloads.WORKLOADS:
         for seed in seeds:
             for index in lists:
@@ -71,7 +80,7 @@ def main() -> int:
                     jobs[key] = {"family": family, "argv": argv,
                                  "sha256": digest(*run_job(argv))}
     Path(args.output).write_text(json.dumps(jobs, indent=1, sort_keys=True) + "\n")
-    print(f"{len(jobs)} jobs digested into {args.output}")
+    print(f"{len(jobs)} command lines digested into {args.output}")
     return 0
 
 

@@ -45,6 +45,24 @@ def test_parse_error_exits_1(capsys):
     assert "parse error at byte" in err
 
 
+# help, usage and argparse errors, recorded byte for byte with COLUMNS=80 (the
+# terminal width argparse wraps to); "option-prefix" pins that an unambiguous
+# prefix such as --nm still selects its option
+FRONTEND = json.loads((ROOT / "tests" / "golden" / "frontend.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(FRONTEND))
+def test_frontend_matches_snapshot(name, capsys, monkeypatch):
+    case = FRONTEND[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:  # --help exits through argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["status"], case["stdout"], case["stderr"])
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run(["verify", "--k", "5", "--phi", "t*exp(-pi*t^2)",
                         "--frobnicate"], capsys)
@@ -260,6 +278,41 @@ def test_non_finite_floats_exit_1(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target,reason", [
+    (pathlib.Path("missing-dir", "x.json"), "No such file or directory"),
+    (pathlib.Path("."), "Is a directory"),
+], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_1(target, reason, tmp_path):
+    path = tmp_path / target
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "guinand.cli", "rk", "--k", "3",
+                           "--nmax", "5", "--output", str(path)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {path}: {reason}\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_grid_cap_refuses_before_building(capsys):
+    # 10^12 + 1 points: refused from the count alone, without allocating
+    code, out, err = run(["sphere-ft", "--k", "5", "--t-grid", "0:1e12:1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "1000000000001 points" in err and "cap" in err
+
+
+def test_grid_cap_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("GUINAND_WORKCAP", "10")
+    argv = ["sphere-ft", "--k", "5", "--methods", "closed", "--t-grid"]
+    code, _, err = run(argv + ["1:11:1"], capsys)
+    assert code == 1
+    assert "11 points" in err and "cap 10" in err
+    code, out, _ = run(argv + ["1:10:1"], capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 10
 
 
 @pytest.mark.parametrize("k", [3, 5])

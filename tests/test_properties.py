@@ -1,4 +1,5 @@
-"""Property-based checks of the algebra and of the shell-sum kernel.
+"""Property-based checks of the algebra, of the shell-sum kernel and of the
+report serializer.
 
 Random odd phi and arbitrary f are drawn from the GaussPoly algebra; the
 examples are derandomized so that every run checks the same cases.
@@ -8,9 +9,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guinand.cli import _to_json
 from guinand.formulas import (
     lhs_general, rhs_general, shell_table, shifted_nodes, verify,
 )
@@ -194,3 +197,68 @@ def test_compensated_sum_is_neumaier(values):
         acc.add(z)
     want = complex(_neumaier(z.real for z in values), _neumaier(z.imag for z in values))
     assert _bits(acc.total) == _bits(want)
+
+
+def _chain_to_json(obj) -> str:
+    """The report serializer as one isinstance chain: the reference that
+    ``cli._to_json`` must match byte for byte."""
+    def fmt(x):
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError(f"non-finite value {x} in report")
+        return format(x, ".17g")
+
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt(obj)
+    if isinstance(obj, complex):
+        return f"[{fmt(obj.real)}, {fmt(obj.imag)}]"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{_chain_to_json(str(key))}: {_chain_to_json(val)}"
+                          for key, val in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_chain_to_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# signed zeros, the smallest subnormal and normal, and the largest magnitudes
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308, 1.7976931348623157e308])
+FINITE = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+TEXT = st.text(alphabet=st.sampled_from('ab"\\ \u00e9\n'), max_size=6)
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FINITE,
+                        st.builds(complex, FINITE, FINITE), TEXT)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.one_of(TEXT, st.integers()), inner,
+                                            max_size=4),
+                            # rows drawing their keys from one small set, as a
+                            # report's lists of rows do
+                            st.lists(st.dictionaries(st.sampled_from(["k", "t", "1", 1]),
+                                                     inner, max_size=3), max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+def test_to_json_matches_isinstance_chain(obj):
+    assert _to_json(obj) == _chain_to_json(obj)
+
+
+@pytest.mark.parametrize("obj,error", [
+    (math.nan, ValueError), (math.inf, ValueError), ([1.0, -math.inf], ValueError),
+    (complex(0.0, math.nan), ValueError), ({"x": complex(math.inf, 0.0)}, ValueError),
+    (Fraction(1, 3), TypeError), ({1, 2}, TypeError), ({"x": [Fraction(1)]}, TypeError),
+])
+def test_to_json_refuses(obj, error):
+    with pytest.raises(error):
+        _to_json(obj)
