@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import _check_odd_k, alpha, betas, round_multiples
 from .schwartz import GaussPoly
 from .sumsq import DEFAULT_TABLE_CAP, rk_table
-from .util import CompensatedSum
+from .util import CompensatedSum, Frozen
 
 __all__ = [
     "Atom", "AtomComb", "PointMeasure", "make_comb", "pair",
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """Weighted derivative-delta: weight * delta_location^(order)."""
 
     location: float
@@ -63,12 +62,23 @@ class Atom:
         return self.weight * (-1) ** self.order * derivs[self.order].eval(self.location)
 
 
-@dataclass(frozen=True)
-class AtomComb:
-    """Finite comb, atoms sorted by (location, order), duplicates merged."""
+class AtomComb(Frozen):
+    """Finite comb, atoms sorted by (location, order), duplicates merged.
+    ``meta`` labels the comb; equality and hashing ignore it."""
 
-    atoms: tuple[Atom, ...]
-    meta: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("atoms", "meta")
+
+    def __init__(self, atoms: tuple[Atom, ...], meta: dict | None = None) -> None:
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
 
     @property
     def max_order(self) -> int:
@@ -174,8 +184,7 @@ def _sigma_k_hat(k: int, counts) -> AtomComb:
 # general point measures
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointMeasure:
+class PointMeasure(NamedTuple):
     """Finitely many weighted points in R^k (a truncation of a measure with
     locally finite support)."""
 

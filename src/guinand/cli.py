@@ -8,10 +8,12 @@ when every checked residual is within tolerance, 2 on a residual failure,
 1 on usage, parse, or work-cap errors; an --output path that cannot be
 written is such an error ("error: cannot write PATH: reason").
 
-Each call builds its own parser from the table ``_COMMANDS``.  The parser
-lists every subcommand, so help, usage and invalid-choice errors read as for
-the full parser, but it holds the options of the called subcommand alone,
-the only ones parsed.
+Each call builds its own parser from the table ``_COMMANDS``, with the
+options of one subcommand alone.  When the command line starts with a
+known subcommand, that subcommand's parser alone parses the rest of the
+line, exactly as under a parser that lists every subcommand.  Otherwise (a
+top-level option first, no subcommand, an unknown one) the top-level parser
+lists all seven, so help, usage and invalid-choice errors read as in full.
 
 A --t-grid of more than DEFAULT_GRID_CAP = 10**6 points is refused before it
 is built.  GUINAND_WORKCAP overrides this grid cap and the enumeration and
@@ -56,17 +58,23 @@ def _json_str(text: str) -> str:
 
 
 def _json_dict(obj: dict, prefixes: dict | None = None) -> str:
-    """``prefixes`` maps str(key) to its '"key": ' text; the dicts of one list
-    share it, so the keys of a report's rows are quoted once per list."""
+    """``prefixes`` maps a str key to its '"key": ' text; the dicts of one
+    list share it, so the keys of a report's rows are quoted once per list.
+    Other keys are written as str(key) and not stored: True equals 1 as a
+    key but prints differently."""
     if prefixes is None:
         prefixes = {}
     parts = []
     for key, val in obj.items():
-        key = str(key)
         prefix = prefixes.get(key)
         if prefix is None:
-            prefix = prefixes[key] = _json_str(key) + ": "
-        parts.append(prefix + _to_json(val))
+            prefix = _json_str(str(key)) + ": "
+            if type(key) is str:
+                prefixes[key] = prefix
+        writer = _JSON_WRITERS.get(type(val))
+        if writer is None:
+            raise TypeError(f"cannot serialize {type(val)!r}")
+        parts.append(prefix + writer(val))
     return "{" + ", ".join(parts) + "}"
 
 
@@ -287,11 +295,14 @@ def _cmd_sphere_ft(args) -> int:
         if m not in radial.SPHERE_METHODS:
             raise _UsageError(f"unknown sphere method {m!r}; choose from "
                               f"{sorted(radial.SPHERE_METHODS)}")
-    values = radial.grid_rows([args.k], _parse_grid(args), methods)
+    ts = _parse_grid(args)
+    values = radial.grid_rows([args.k], ts, methods)
     if args.format == "csv":
+        t_texts = [_fmt_float(t) for t in ts]  # rows run t-major, methods within
+        per_t = len(methods)
         _write_csv(args, ["k", "t", "method", "value"],
-                   [(v.k, _fmt_float(v.t), v.method, _fmt_float(v.value))
-                    for v in values])
+                   [(v.k, t_texts[i // per_t], v.method, _fmt_float(v.value))
+                    for i, v in enumerate(values)])
     else:
         _write(args, _to_json([{"k": v.k, "t": v.t, "method": v.method,
                                 "value": v.value} for v in values]) + "\n")
@@ -343,22 +354,40 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> _Parser:
-    """A parser that lists every subcommand, so help, usage and invalid-choice
-    errors are those of the full parser, but holds the options of ``command``
-    alone (its --help included): only that subcommand's arguments are parsed."""
+def _add_options(parser: _Parser, name: str) -> _Parser:
+    """Give ``parser`` the options of subcommand ``name`` and its handler."""
+    _, handler, options = _COMMANDS[name]
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--output", help="write to file instead of stdout")
+    parser.set_defaults(fn=handler)
+    return parser
+
+
+def _build_parser(argv: list[str]) -> tuple[_Parser, list[str]]:
+    """(parser, tokens it parses) for ``argv``.  The parser holds the options
+    of one subcommand alone (its --help included).
+
+    When argv starts with a known subcommand, it is that subcommand's parser
+    alone, prog "guinand NAME", and parses the rest of argv: that is all a
+    parser listing the subcommands would pass on to it, and none of its own
+    help, usage or choice errors can arise on such a line.  Otherwise it is
+    the top-level parser, listing every subcommand so that those texts read
+    as in full, and holds the options of the first token that is not an
+    option (no top-level option takes a value, so that is the token argparse
+    reads as the subcommand)."""
+    if argv and argv[0] in _COMMANDS:
+        return _add_options(_Parser(prog="guinand " + argv[0]), argv[0]), argv[1:]
+    command = next((token for token in argv if token[:1] != "-"), None)
     parser = _Parser(prog="guinand",
                      description="Verify summation formulas with nodes at "
                                  "+-sqrt(n) and sum-of-squares weights.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, options) in _COMMANDS.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.add_argument("--output", help="write to file instead of stdout")
-            p.set_defaults(fn=handler)
-    return parser
+            _add_options(p, name)
+    return parser, argv
 
 
 def _join_dash_values(argv) -> list[str]:
@@ -376,11 +405,9 @@ def _join_dash_values(argv) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
-    # no top-level option takes a value, so the first token that is not an
-    # option is the one argparse reads as the subcommand
-    command = next((token for token in argv if token[:1] != "-"), None)
     try:
-        args = _build_parser(command).parse_args(argv)
+        parser, tokens = _build_parser(argv)
+        args = parser.parse_args(tokens)
         return args.fn(args)
     except ParseError as exc:  # a ValueError, so it must come first
         print(f"parse error at byte {exc.offset}: {exc.reason}", file=sys.stderr)

@@ -29,8 +29,10 @@ that identity exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+from .util import Frozen
 
 # 50 decimal digits of pi; used only when converting exact values to float.
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937511")
@@ -47,13 +49,15 @@ def double_factorial(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(Frozen):
     """Exact value (num/den) * pi^pi_power, normalized so gcd(|num|,den)=1, den>0."""
 
-    num: int
-    den: int
-    pi_power: int
+    __slots__ = ("num", "den", "pi_power")
+
+    def __init__(self, num: int, den: int, pi_power: int) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "pi_power", pi_power)
 
     @staticmethod
     def make(value, pi_power: int = 0) -> "ScaledRational":
@@ -160,12 +164,20 @@ def beta(j: int, k: int) -> ScaledRational:
 
 
 def betas(k: int) -> list[ScaledRational]:
-    """All beta_j_k for j = 0 .. (k-3)/2."""
-    return [beta(j, k) for j in range((k - 3) // 2 + 1)]
+    """All beta_j_k for j = 0 .. (k-3)/2, from beta_0_k by the exact ratio
+    beta_(j+1)_k / beta_j_k = -(k-2j-3) / ((j+1) (k-j-3)): one small
+    rational step per j instead of three factorials."""
+    _check_odd_k(k)
+    m = (k - 3) // 2
+    fr = Fraction(math.factorial(k - 3), double_factorial(k - 3) * 2 ** m)
+    out = [ScaledRational.make(fr, -m)]
+    for j in range(m):
+        fr *= Fraction(-(k - 2 * j - 3), (j + 1) * (k - j - 3))
+        out.append(ScaledRational.make(fr, -m))
+    return out
 
 
-@dataclass(frozen=True)
-class BesselPoly:
+class BesselPoly(NamedTuple):
     """theta_n as integer coefficients in ascending powers of z."""
 
     n: int

@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import _check_odd_k, alpha
 from .errors import WorkCapExceeded
@@ -77,8 +77,7 @@ _SPECIAL_FORM_RTOL = 1e-13
 _TAIL_STEPS = 100000
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Both sides of one identity check plus residuals and truncation data."""
 
     identity: str
@@ -93,7 +92,8 @@ class VerificationReport:
     truncation: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order; ``truncation`` is a copy."""
+        return {**self._asdict(), "truncation": dict(self.truncation)}
 
 
 def _require_odd_phi(phi: GaussPoly, name: str = "phi") -> None:
@@ -209,7 +209,7 @@ def _verify(k: int, phi: GaussPoly, N: int, *, shell_rows: bool = False,
     explicit = {3: _rhs_explicit_k3, 5: _rhs_explicit_k5}.get(k)
     if explicit is not None:
         special = explicit(psi, N, table_cap=table_cap)
-        if rel_diff(special, rhs) > _SPECIAL_FORM_RTOL:
+        if not rel_diff(special, rhs) <= _SPECIAL_FORM_RTOL:  # NaN fails too
             raise ValueError(f"specialized k={k} form disagrees with the general "
                              f"path: {special!r} vs {rhs!r}")
     identity = {3: "guinand", 5: "k5"}.get(k, "general-k")

@@ -67,8 +67,8 @@ import functools
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import (
     PI_50, ScaledRational, _check_odd_k, alpha, bessel_poly, betas, double_factorial,
@@ -106,6 +106,12 @@ _MILLER_GROWTH = 1e10
 def _beta_floats(k: int) -> tuple[float, ...]:
     """beta_jk rounded once each (``ScaledRational.to_float``), per k."""
     return tuple(b.to_float() for b in betas(k))
+
+
+@functools.lru_cache(maxsize=64)
+def _theta(n: int):
+    """The Bessel polynomial theta_n (``bessel_poly``), built once per n."""
+    return bessel_poly(n)
 
 
 def _profile_argument(t: float, form: str) -> tuple[float, float]:
@@ -169,14 +175,23 @@ def _fixed_exp_i(x_fixed: int, bits: int) -> tuple[int, int, float]:
             return c, s, 1.001 * (err + 3.0)
 
 
-def _exact_small_t(k: int, u: float, big: float, weighted_sum) -> float:
+def _log2_abs_sum(coeffs, den: int, z: float) -> float:
+    """log2 of sum_j |c_j| z^j / den for nonzero integers c_j and den, z > 0,
+    summed in logarithms: no term or coefficient needs to fit a float."""
+    logs = [math.log2(abs(c)) + j * math.log2(z) for j, c in enumerate(coeffs)]
+    top = max(logs)
+    return top + math.log2(math.fsum(2.0 ** (x - top) for x in logs)) - math.log2(den)
+
+
+def _exact_small_t(k: int, u: float, log2_big: float, weighted_sum) -> float:
     """2 S(z) / (pi^m u^(k-2)), m = (k-3)/2, rounded once from a certified
     fixed-point evaluation of a cancelling sum S at z = 2 pi u.
 
     ``weighted_sum(X, bits, C, S)`` returns integers (W, B, D): W / (D 2^(bits
     (m+1))) is S at x = X / 2^bits given C, S = 2^bits (cos x, sin x), and an
-    error of e units in C and S moves W by at most B e.  ``big`` is the sum
-    of the magnitudes of the terms of S, used to pick the first precision.
+    error of e units in C and S moves W by at most B e.  ``log2_big`` is
+    log2 of the sum of the magnitudes of the terms of S (``_log2_abs_sum``),
+    used to pick the first precision.
     z = 2 PI_50 u and pi = PI_50 throughout; their error, and the rounding of
     z to X, move S by at most (k-2)/X relative, because |z S'(z) / S(z)| <=
     2 nu = k-2 where s_k has no zero (J_(nu-1) / J_nu <= 2 nu / z there).
@@ -187,7 +202,7 @@ def _exact_small_t(k: int, u: float, big: float, weighted_sum) -> float:
     # |S| ~ pi^m area_k z^(k-2) / (2 (2 pi)^(k-2)) for small z
     log2_s = ((m + nu + 1.0) * math.log2(math.pi) - math.lgamma(nu + 1.0) / math.log(2.0)
               + (k - 2) * math.log2(z / (2.0 * math.pi)))
-    bits = _GUARD_BITS + 16 + max(math.ceil(math.log2(big) - log2_s + 1.5 * z),
+    bits = _GUARD_BITS + 16 + max(math.ceil(log2_big - log2_s + 1.5 * z),
                                   math.ceil(math.log2(k - 2) - math.log2(z)), 0)
     un, ud = u.as_integer_ratio()
     while bits <= _MAX_BITS:
@@ -205,6 +220,16 @@ def _exact_small_t(k: int, u: float, big: float, weighted_sum) -> float:
         bits += 16 + max(lost + math.ceil(math.log2(err)) + _GUARD_BITS, 0)
     raise ValueError(f"cannot certify s_{k} at t = {u!r} within {_MAX_BITS} bits "
                      f"of working precision")
+
+
+def _inverse_power(k: int, u: float, form: str) -> float:
+    """2 / u^(k-2), the prefactor of the closed and Bessel-polynomial forms;
+    ValueError where u^(k-2) overflows a float."""
+    try:
+        return 2.0 / u ** (k - 2)
+    except OverflowError:
+        raise ValueError(f"{form}: |t|^{k - 2} exceeds the float range "
+                         f"at t = {u!r}") from None
 
 
 def sphere_ft_closed(k: int, t: float) -> float:
@@ -234,13 +259,13 @@ def sphere_ft_closed(k: int, t: float) -> float:
                 xj *= x
             return w, b, den
 
-        big = math.fsum(abs(num) / den * z ** j for j, num in enumerate(nums))
-        return _exact_small_t(k, u, big, weighted_sum)
+        return _exact_small_t(k, u, _log2_abs_sum(nums, den, z), weighted_sum)
+    scale = _inverse_power(k, u, "closed form")  # first: no z^j overflows before it
     s, c = math.sin(z), math.cos(z)
     quadrant = (s, c, -s, -c)
     terms = [b * z ** j * quadrant[j % 4]
              for j, b in enumerate(_beta_floats(k))]
-    return 2.0 / u ** (k - 2) * math.fsum(terms)
+    return scale * math.fsum(terms)
 
 
 def sphere_ft_bessel(k: int, t: float) -> float:
@@ -273,7 +298,11 @@ def sphere_ft_bessel(k: int, t: float) -> float:
         c, s = math.cos(z), math.sin(z)
         norm = (c / root_pi / q if abs(c) >= abs(s)
                 else 2.0 * s / (z * root_pi) / q_hi)
-        return 2.0 * math.pi ** (target + 1.0) * (q_target * norm)
+        try:
+            return 2.0 * math.pi ** (target + 1.0) * (q_target * norm)
+        except OverflowError:
+            raise ValueError(f"Bessel form: pi^{target + 1.0} exceeds the float "
+                             f"range at k = {k}") from None
     amp = math.sqrt(2.0 / (math.pi * z))
     j_lo = amp * math.cos(z)   # J_{-1/2}
     j_hi = amp * math.sin(z)   # J_{+1/2}
@@ -330,7 +359,7 @@ def sphere_ft_besselpoly(k: int, t: float) -> float:
     _check_odd_k(k)
     u, z = _profile_argument(t, "Bessel-polynomial form")
     n = (k - 3) // 2
-    theta = bessel_poly(n)
+    theta = _theta(n)
     if _small_argument(k, z):
         coeffs = theta.coeffs
 
@@ -343,10 +372,10 @@ def sphere_ft_besselpoly(k: int, t: float) -> float:
                 b = b * x + a
             return re * s + im * c, 2 * b, 1 << n
 
-        big = theta(z).real / 2 ** n
-        return _exact_small_t(k, u, big, weighted_sum)
+        return _exact_small_t(k, u, _log2_abs_sum(coeffs, 1 << n, z), weighted_sum)
+    scale = _inverse_power(k, u, "Bessel-polynomial form")
     val = theta(complex(0.0, -z)) / (2.0 * math.pi) ** n * cmath.exp(complex(0.0, z))
-    return 2.0 / u ** (k - 2) * val.imag
+    return scale * val.imag
 
 
 SPHERE_METHODS = {
@@ -357,26 +386,31 @@ SPHERE_METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class SphereFTValue:
+class SphereFTValue(NamedTuple):
     k: int
     t: float
     value: float
     method: str
 
 
-def sphere_ft_value(k: int, t: float, method: str) -> SphereFTValue:
+def _sphere_method(method: str):
     try:
-        fn = SPHERE_METHODS[method]
+        return SPHERE_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; "
                          f"choose from {sorted(SPHERE_METHODS)}") from None
-    return SphereFTValue(k, t, fn(k, t), method)
+
+
+def sphere_ft_value(k: int, t: float, method: str) -> SphereFTValue:
+    return SphereFTValue(k, t, _sphere_method(method)(k, t), method)
 
 
 def grid_rows(ks, ts, methods) -> list[SphereFTValue]:
-    """Profile values over a (k, t, method) grid, for CSV export."""
-    return [sphere_ft_value(k, t, m) for k in ks for t in ts for m in methods]
+    """Profile values over a (k, t, method) grid, for CSV export: the
+    ``sphere_ft_value`` records in k, t, method order.  Each method is
+    looked up once, so an unknown one raises before any value is computed."""
+    routes = [(m, _sphere_method(m)) for m in methods]
+    return [SphereFTValue(k, t, fn(k, t), m) for k in ks for t in ts for m, fn in routes]
 
 
 def sphere_area(k: int) -> ScaledRational:

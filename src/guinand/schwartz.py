@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import PI_50
 from .errors import ParseError
@@ -444,8 +444,7 @@ def zero(exact: bool = False) -> GaussPoly:
 # parser
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParsedExpr:
+class ParsedExpr(NamedTuple):
     source: str
     value: GaussPoly
 
@@ -476,6 +475,13 @@ def _tokenize(src: str):
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens
+
+
+def _to_float(value: Fraction, what: str, pos: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is beyond the float range", pos) from None
 
 
 class _Parser:
@@ -576,7 +582,7 @@ class _Parser:
     def parse_factor(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return {0.0: [complex(float(Fraction(val)))]}
+            return {0.0: [complex(_to_float(Fraction(val), "number", pos))]}
         if kind == "name":
             if val == "i":
                 return {0.0: [1j]}
@@ -644,9 +650,9 @@ class _Parser:
             raise ParseError("Gaussian scale must be positive "
                              "(use exp(-pi*<rational>*t^2))", exp_pos)
         if pi_pow == 1:
-            a = float(q)
+            a = _to_float(q, "Gaussian scale", exp_pos)
         else:
-            a = float(q * PI_50 ** (pi_pow - 1))
+            a = _to_float(q * PI_50 ** (pi_pow - 1), "Gaussian scale", exp_pos)
         return {a: [1 + 0j]}
 
 

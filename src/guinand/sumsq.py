@@ -20,7 +20,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import WorkCapExceeded
 
@@ -28,17 +28,21 @@ DEFAULT_TABLE_CAP = 10 ** 6   # largest max_n accepted by rk_table
 DEFAULT_BOX_CAP = 10 ** 9     # largest k*(2*isqrt(n)+1)^k accepted by rk_bruteforce
 
 
-@dataclass(frozen=True)
-class RepTable:
-    """counts[n] = r_k(n) for 0 <= n <= max_n, as exact integers."""
-
+class _RepTableFields(NamedTuple):
     k: int
     max_n: int
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.counts) != self.max_n + 1:
+
+class RepTable(_RepTableFields):
+    """counts[n] = r_k(n) for 0 <= n <= max_n, as exact integers."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, max_n: int, counts: tuple[int, ...]):
+        if len(counts) != max_n + 1:
             raise ValueError("counts length must be max_n + 1")
+        return super().__new__(cls, k, max_n, counts)
 
 
 def rk_table(k: int, max_n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> RepTable:

@@ -1,11 +1,31 @@
-"""Small numeric helpers: the package's one summation primitive and a
-relative difference.
+"""Small helpers: the package's one summation primitive, a relative
+difference, and the base of its immutable __slots__ classes.
 
 Every term of every series passes through ``CompensatedSum.add``, so it
 writes the Neumaier step out inline instead of calling a helper.
 """
 
 from __future__ import annotations
+
+import math
+
+
+class Frozen:
+    """Base of the immutable __slots__ classes: ``__init__`` sets each slot
+    once with object.__setattr__; assigning or deleting one raises
+    AttributeError.  The repr lists the slots as keyword arguments."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class CompensatedSum:
@@ -57,5 +77,21 @@ def comp_sum(values) -> complex:
 
 
 def rel_diff(a: complex, b: complex, floor: float = 1e-300) -> float:
-    """|a-b| relative to max(|a|, |b|, floor)."""
-    return abs(a - b) / max(abs(a), abs(b), floor)
+    """|a-b| relative to max(|a|, |b|, floor); NaN when a or b is not finite.
+
+    The ratio is at most 2, unless a modulus or a - b overflows.  (``abs``
+    of a complex raises OverflowError then, and also for a NaN part when an
+    earlier libm call left errno set.)  In that case finite a and b are
+    scaled by a power of two, exactly, so that every modulus fits."""
+    try:
+        rel = abs(a - b) / max(abs(a), abs(b), floor)
+    except OverflowError:
+        rel = math.inf
+    if rel != math.inf:
+        return rel
+    parts = (a.real, a.imag, b.real, b.imag)
+    if not all(map(math.isfinite, parts)):
+        return math.nan
+    scale = math.ldexp(1.0, -math.frexp(max(map(abs, parts)))[1])
+    a, b = a * scale, b * scale
+    return abs(a - b) / max(abs(a), abs(b), floor * scale)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from guinand.atoms import (
-    Atom, comb_from_json, comb_to_json, make_comb, pair, point_measure,
+    Atom, AtomComb, comb_from_json, comb_to_json, make_comb, pair, point_measure,
     project_ft, project_measure, sigma_hat_comb, sigma_k, sigma_k_hat,
 )
 from guinand.coeffs import PI_50, alpha, betas
@@ -26,6 +26,16 @@ def _ball_measure(k, N):
 
 
 # ---- pairing ----------------------------------------------------------------
+
+def test_comb_equality_ignores_meta():
+    atoms = (Atom(1.0, 0, 1 + 0j, 1), Atom(2.0, 0, 1 + 0j, 4))
+    a, b = AtomComb(atoms, {"k": 3}), AtomComb(atoms)
+    assert a == b and hash(a) == hash(b) and b.meta == {}
+    assert a != AtomComb(atoms[:1], {"k": 3})
+    assert a != atoms
+    with pytest.raises(AttributeError):
+        a.atoms = ()
+
 
 def test_pairing_sign_convention():
     # <-2 delta'_0, f> = 2 f'(0)

@@ -63,6 +63,17 @@ def test_frontend_matches_snapshot(name, capsys, monkeypatch):
     assert (code, out, err) == (case["status"], case["stdout"], case["stderr"])
 
 
+def test_parser_shapes():
+    # a line that starts with a subcommand is parsed by that subcommand's
+    # parser alone; otherwise by the top-level parser (its texts are pinned
+    # by the help-before-subcommand snapshots)
+    from guinand.cli import _build_parser
+    parser, tokens = _build_parser(["rk", "--k", "3", "--nmax", "5"])
+    assert (parser.prog, tokens) == ("guinand rk", ["--k", "3", "--nmax", "5"])
+    parser, tokens = _build_parser(["--help", "verify"])
+    assert (parser.prog, tokens) == ("guinand", ["--help", "verify"])
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run(["verify", "--k", "5", "--phi", "t*exp(-pi*t^2)",
                         "--frobnicate"], capsys)
@@ -81,6 +92,21 @@ def test_bad_k_exits_1(capsys):
     assert "odd" in err
 
 
+# inputs whose floats overflow: each exits 1 with one line, never a traceback;
+# the k = 3 sums are NaN, which must fail the literal-constant cross-check
+OVERFLOWS = [
+    (["verify", "--k", "3", "--phi", "t*exp(-pi*1e-300*t^2)"],
+     "error: specialized k=3 form disagrees"),
+    (["verify", "--k", "3", "--phi", "1e308*t*exp(-pi*t^2)"],
+     "error: specialized k=3 form disagrees"),
+    (["sphere-ft", "--k", "5", "--t", "1e300"], "error: closed form: |t|^3 exceeds"),
+    (["sphere-ft", "--k", "5001", "--t", "0.001", "--methods", "closed"],
+     "error: cannot certify s_5001"),
+    (["verify", "--k", "3", "--phi", "1e400*t*exp(-pi*t^2)"],
+     "parse error at byte 0: number is beyond the float range"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["rk", "--k", "0", "--nmax", "5"],
     ["coeffs", "--k", "2"],
@@ -89,10 +115,27 @@ def test_bad_k_exits_1(capsys):
     ["sphere-ft", "--k", "3", "--t", "1", "--methods", "wat"],
     ["verify-shifted", "--k", "3", "--eta", "x,y,z", "--xi", "0,0,1/2",
      "--phi", "t*exp(-pi*t^2)"],
+    *(argv for argv, _ in OVERFLOWS),
 ])
 def test_malformed_inputs_exit_1(argv, capsys):
     code, _, _ = run(argv, capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", OVERFLOWS)
+def test_float_overflow_exits_1_with_a_message(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, guinand.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"
 
 
 # values starting with '-' after a spaced option: each must run like --opt=value

@@ -44,6 +44,13 @@ def test_beta_known_values():
     assert beta(2, 7) == ScaledRational(1, 4, -2)
 
 
+def test_betas_ratio_recurrence_matches_each_beta():
+    for k in range(3, 62, 2):
+        assert betas(k) == [beta(j, k) for j in range((k - 3) // 2 + 1)], k
+    with pytest.raises(ValueError, match="odd"):
+        betas(4)
+
+
 def test_beta_range_checks():
     with pytest.raises(ValueError):
         beta(1, 3)
@@ -90,6 +97,17 @@ def test_scaled_rational_arithmetic_is_exact():
     assert a * 3 == ScaledRational.make(1, -1)
     with pytest.raises(ValueError):
         a + ScaledRational.make(1, 0)
+
+
+def test_scaled_rational_is_an_immutable_value():
+    a = ScaledRational(1, 3, -1)
+    assert repr(a) == "ScaledRational(num=1, den=3, pi_power=-1)"
+    assert {a: 1}[ScaledRational.make(Fraction(2, 6), -1)] == 1
+    assert ScaledRational(0, 1, 2) == 0 and hash(ScaledRational(0, 1, 2)) == hash(0)
+    with pytest.raises(AttributeError):
+        a.num = 2
+    with pytest.raises(AttributeError):
+        del a.den
 
 
 def test_bessel_poly_base_cases_and_recurrence():

@@ -181,6 +181,29 @@ def test_sphere_value_wrapper():
         sphere_ft_value(9, 2.0, "nope")
 
 
+@pytest.mark.parametrize("k", [5, 9, 11])
+def test_grid_rows_match_per_point_values(k):
+    # the grid crosses 2 pi t = (k-2)/2, where every route changes form
+    edge = (k - 2) / (4.0 * math.pi)
+    ts = [edge * x for x in (0.05, 0.5, 0.99, 1.0, 1.01, 2.0)] + [-edge, 3.7]
+    methods = ["closed", "bessel", "recurrence", "besselpoly"]
+    want = [sphere_ft_value(k, t, m) for t in ts for m in methods]
+    assert radial.grid_rows([k], ts, methods) == want  # floats compare exactly
+    with pytest.raises(ValueError, match="unknown method"):
+        radial.grid_rows([k], ts, ["closed", "nope"])
+
+
+def test_sphere_routes_refuse_overflow_with_value_error():
+    # |t|^(k-2), the coefficients of the exact path and pi^(nu+1) overflow a float
+    for fn in (sphere_ft_closed, sphere_ft_besselpoly):
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            fn(5, 1e300)
+    with pytest.raises(ValueError, match="cannot certify"):
+        sphere_ft_closed(5001, 0.001)
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        sphere_ft_bessel(5001, 0.001)
+
+
 def test_sphere_area_exact():
     assert sphere_area(3) == ScaledRational(4, 1, 1)          # 4 pi
     assert sphere_area(5) == ScaledRational(8, 3, 2)          # 8 pi^2 / 3
@@ -222,6 +245,14 @@ def test_routes_call_no_other_route(monkeypatch):
             fn(11, t)
     for t in (0.001, 0.1, 3.0):
         radial_ft_closed(GAUSS, 11, t)
+
+
+def test_exact_path_with_coefficients_beyond_floats():
+    # at k = 301 the Bessel-polynomial coefficients exceed the float range;
+    # the exact path picks its precision in logarithms and still certifies
+    got = sphere_ft_besselpoly(301, 10.0)
+    assert abs(got - sphere_ft_closed(301, 10.0)) <= 1e-15 * abs(got)
+    assert abs(got - sphere_ft_bessel(301, 10.0)) <= 1e-13 * abs(got)
 
 
 def test_exact_path_refuses_uncertifiable_precision():

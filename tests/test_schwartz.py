@@ -194,6 +194,16 @@ def test_parse_rejects_polynomial_only():
         parse("t^2")
 
 
+def test_parse_rejects_numbers_beyond_the_float_range():
+    with pytest.raises(ParseError, match="number is beyond the float range") as info:
+        parse("t*1e400*exp(-pi*t^2)")
+    assert info.value.offset == 2
+    with pytest.raises(ParseError, match="Gaussian scale is beyond the float range") as info:
+        parse("t*exp(-pi*1e400*t^2)")
+    assert info.value.offset == 2
+    assert parse("1e-400*t*exp(-pi*t^2)").value.is_zero  # underflow to 0 is fine
+
+
 def test_parse_zero_is_fine():
     assert parse("0").value.is_zero
     assert parse("0*t*exp(-pi*t^2)").value.is_zero
