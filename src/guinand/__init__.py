@@ -7,7 +7,7 @@ from .atoms import (
     pair, point_measure, project_ft, project_measure, sigma_k, sigma_k_hat,
 )
 from .coeffs import (
-    BesselPoly, ScaledRational, alpha, bessel_poly, beta, beta_bessel_crosscheck,
+    BesselPoly, PiScalar, alpha, bessel_poly, beta, beta_bessel_crosscheck,
     betas, double_factorial,
 )
 from .errors import ParseError, QuadratureError, WorkCapExceeded
@@ -21,7 +21,7 @@ from .radial import (
     sphere_ft_besselpoly, sphere_ft_closed, sphere_ft_recurrence,
     sphere_ft_value,
 )
-from .schwartz import GaussPoly, ParsedExpr, PiScalar, gauss_term, parse, zero
+from .schwartz import GaussPoly, ParsedExpr, gauss_term, parse, zero
 from .sumsq import RepTable, rk_bruteforce, rk_table
 
 __version__ = "0.1.0"

@@ -209,10 +209,12 @@ def _cmd_coeffs(args) -> int:
         lines += [f"beta({j},{args.k}) = {show(b)}" for j, b in enumerate(bs)]
         _write(args, "\n".join(lines) + "\n")
     else:
-        obj = {"k": args.k,
-               "alpha": {"num": a.num, "den": a.den, "pi_power": a.pi_power},
-               "beta": [{"j": j, "num": b.num, "den": b.den,
-                         "pi_power": b.pi_power} for j, b in enumerate(bs)]}
+        def parts(v):
+            q, e = coeffs.split_term(v)
+            return {"num": q.numerator, "den": q.denominator, "pi_power": e}
+
+        obj = {"k": args.k, "alpha": parts(a),
+               "beta": [{"j": j, **parts(b)} for j, b in enumerate(bs)]}
         _write(args, _to_json(obj) + "\n")
     return 0
 

@@ -7,10 +7,11 @@ The two coefficient families are, for odd k >= 3 and 0 <= j <= (k-3)/2,
 
 Both are rational multiples of pi^(-(k-3)/2); the powers of two are folded
 into the rational part and the pi power is kept symbolic, so every identity
-between coefficients can be checked without rounding.  A ScaledRational
-(or an integer multiple of one) is rounded in one place only,
-``round_multiples``.  It takes the integers (P, Q) of
-``ScaledRational.ratio``, the value with pi replaced by a 50-digit pi, and
+between coefficients can be checked without rounding.  ``PiScalar``, a sum
+of (q_re + i q_im) * pi^e, is the package's one exact scalar; ``split_term``
+takes a real one-term value apart into (q, e).  A real PiScalar is rounded in
+one place only, ``round_multiples``.  It takes the integers (P, Q) of
+``PiScalar.ratio``, the value with pi replaced by a 50-digit pi, and
 returns the integer true quotient (r*P)/Q, which Python rounds correctly,
 once, exactly as ``float(Fraction(r*P, Q))`` does.  ``to_float`` is
 ``round_multiples`` with r = 1, and ``atoms.sigma_k_hat`` rounds each shell
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .util import Frozen
@@ -49,89 +51,140 @@ def double_factorial(n: int) -> int:
     return out
 
 
-class ScaledRational(Frozen):
-    """Exact value (num/den) * pi^pi_power, normalized so gcd(|num|,den)=1, den>0."""
+class PiScalar(Frozen):
+    """Exact complex scalar sum_e (q_re + i q_im) * pi^e; ``parts`` maps each e
+    with a nonzero coefficient to (q_re, q_im), read-only.  A value equal to
+    an int or Fraction hashes like it."""
 
-    __slots__ = ("num", "den", "pi_power")
+    __slots__ = ("parts",)
 
-    def __init__(self, num: int, den: int, pi_power: int) -> None:
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "pi_power", pi_power)
+    def __init__(self, parts=None) -> None:
+        clean = {}
+        for e, (re_, im_) in (parts or {}).items():
+            if re_ or im_:
+                clean[e] = (Fraction(re_), Fraction(im_))
+        object.__setattr__(self, "parts", MappingProxyType(clean))
 
     @staticmethod
-    def make(value, pi_power: int = 0) -> "ScaledRational":
-        fr = Fraction(value)
-        return ScaledRational(fr.numerator, fr.denominator, pi_power)
+    def of(value, pi_power: int = 0) -> "PiScalar":
+        """value * pi^pi_power, for a PiScalar, int, Fraction or complex value."""
+        if isinstance(value, PiScalar):
+            return value * PiScalar({pi_power: (1, 0)}) if pi_power else value
+        if isinstance(value, complex):
+            return PiScalar({pi_power: (value.real, value.imag)})
+        return PiScalar({pi_power: (value, 0)})
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+    def __add__(self, other):
+        other = _as_piscalar(other)
+        if other is None:
+            return NotImplemented
+        parts = dict(self.parts)
+        for e, (re_, im_) in other.parts.items():
+            r0, i0 = parts.get(e, (0, 0))
+            parts[e] = (r0 + re_, i0 + im_)
+        return PiScalar(parts)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PiScalar({e: (-r, -i) for e, (r, i) in self.parts.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, ScaledRational):
-            return ScaledRational.make(self.fraction * other.fraction,
-                                       self.pi_power + other.pi_power)
-        if isinstance(other, (int, Fraction)):
-            return ScaledRational.make(self.fraction * other, self.pi_power)
-        return NotImplemented
+        other = _as_piscalar(other)
+        if other is None:
+            return NotImplemented
+        parts: dict[int, tuple[Fraction, Fraction]] = {}
+        for e1, (r1, i1) in self.parts.items():
+            for e2, (r2, i2) in other.parts.items():
+                r0, i0 = parts.get(e1 + e2, (0, 0))
+                parts[e1 + e2] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+        return PiScalar(parts)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ScaledRational(-self.num, self.den, self.pi_power)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScaledRational.make(other)
-        if not isinstance(other, ScaledRational):
-            return NotImplemented
-        if self.num == 0:
-            return other
-        if other.num == 0:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add exact values with different pi powers")
-        return ScaledRational.make(self.fraction + other.fraction, self.pi_power)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScaledRational.make(other)
-        if not isinstance(other, ScaledRational):
+        other = _as_piscalar(other)
+        if other is None:
             return NotImplemented
-        if self.num == 0 and other.num == 0:
-            return True
-        return (self.fraction == other.fraction
-                and self.pi_power == other.pi_power)
+        return self.parts == other.parts
 
     def __hash__(self):
-        if self.num == 0:
-            return hash(0)
-        return hash((self.num, self.den, self.pi_power))
+        if set(self.parts) <= {0}:
+            re_, im_ = self.parts.get(0, (0, 0))
+            if not im_:
+                return hash(re_)
+        return hash(frozenset(self.parts.items()))
+
+    def _at_pi_50(self) -> tuple[Fraction, Fraction]:
+        """(real, imaginary) parts of the value at pi = PI_50, exactly."""
+        re_ = im_ = Fraction(0)
+        for e, (r, i) in self.parts.items():
+            scale = PI_50 ** e
+            re_ += r * scale
+            im_ += i * scale
+        return re_, im_
 
     def ratio(self) -> tuple[int, int]:
-        """(P, Q) with P/Q the value at pi = PI_50, exactly; Q > 0."""
-        value = self.fraction * PI_50 ** self.pi_power
+        """(P, Q) with P/Q the value at pi = PI_50, exactly; Q > 0.  Real
+        values only."""
+        if any(i for _, i in self.parts.values()):
+            raise ValueError(f"{self} is not real")
+        value = self._at_pi_50()[0]
         return value.numerator, value.denominator
 
     def to_float(self) -> float:
         """Round once: the value at 50 digits of pi, as ``round_multiples`` rounds."""
         return round_multiples(1, [self.ratio()])[0]
 
+    def __complex__(self) -> complex:
+        re_, im_ = self._at_pi_50()
+        return complex(float(re_), float(im_))
+
     def __str__(self) -> str:
-        if self.num == 0:
+        if not self.parts:
             return "0"
-        rat = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-        if self.pi_power == 0:
-            return rat
-        pi = "pi" if self.pi_power == 1 else f"pi^{self.pi_power}"
-        return f"{rat} * {pi}"
+        bits = []
+        for e in sorted(self.parts):
+            r, i = self.parts[e]
+            s = f"({r}+{i}i)" if i else f"{r}"
+            bits.append(s if e == 0 else f"{s} * pi" if e == 1 else f"{s} * pi^{e}")
+        return " + ".join(bits)
+
+    def __repr__(self) -> str:
+        return f"PiScalar({self})"
+
+
+PiScalar.I = PiScalar({0: (0, 1)})
+
+
+def _as_piscalar(v):
+    if isinstance(v, PiScalar):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return PiScalar.of(v)
+    return None
+
+
+def split_term(value: PiScalar) -> tuple[Fraction, int]:
+    """(q, e) with value = q * pi^e, for a nonzero real value with one pi
+    power, such as alpha_k, beta_jk or a sphere area."""
+    parts = list(value.parts.items())
+    if len(parts) != 1 or parts[0][1][1]:
+        raise ValueError(f"{value} is not a real rational multiple of one power of pi")
+    e, (q, _) = parts[0]
+    return q, e
 
 
 def round_multiples(r: int, ratios) -> list[float]:
     """[(r*P)/Q for each (P, Q)]: every value r*P/Q correctly rounded, once.
 
-    The one place a ScaledRational becomes a float.  Integer true division
+    The one place a PiScalar becomes a float.  Integer true division
     rounds the exact quotient, so the result does not depend on whether P/Q
     is in lowest terms and equals float(Fraction(r*P, Q)) bit for bit.
     """
@@ -144,15 +197,15 @@ def _check_odd_k(k: int, minimum: int = 3) -> None:
         raise ValueError(f"k must be an odd integer >= {minimum}, got {k}")
 
 
-def alpha(k: int) -> ScaledRational:
+def alpha(k: int) -> PiScalar:
     """Coefficient of the origin atom: (-1)^((k-3)/2)/(k-2)!! * (2 pi)^(-(k-3)/2)."""
     _check_odd_k(k)
     m = (k - 3) // 2
     fr = Fraction((-1) ** m, double_factorial(k - 2) * 2 ** m)
-    return ScaledRational.make(fr, -m)
+    return PiScalar.of(fr, -m)
 
 
-def beta(j: int, k: int) -> ScaledRational:
+def beta(j: int, k: int) -> PiScalar:
     """Shell coefficient (-1)^j (k-j-3)!/(j!(k-2j-3)!!) * (2 pi)^(-(k-3)/2)."""
     _check_odd_k(k)
     m = (k - 3) // 2
@@ -160,20 +213,20 @@ def beta(j: int, k: int) -> ScaledRational:
         raise ValueError(f"j must satisfy 0 <= j <= (k-3)/2 = {m}, got {j}")
     fr = Fraction((-1) ** j * math.factorial(k - j - 3),
                   math.factorial(j) * double_factorial(k - 2 * j - 3) * 2 ** m)
-    return ScaledRational.make(fr, -m)
+    return PiScalar.of(fr, -m)
 
 
-def betas(k: int) -> list[ScaledRational]:
+def betas(k: int) -> list[PiScalar]:
     """All beta_j_k for j = 0 .. (k-3)/2, from beta_0_k by the exact ratio
     beta_(j+1)_k / beta_j_k = -(k-2j-3) / ((j+1) (k-j-3)): one small
     rational step per j instead of three factorials."""
     _check_odd_k(k)
     m = (k - 3) // 2
     fr = Fraction(math.factorial(k - 3), double_factorial(k - 3) * 2 ** m)
-    out = [ScaledRational.make(fr, -m)]
+    out = [PiScalar.of(fr, -m)]
     for j in range(m):
         fr *= Fraction(-(k - 2 * j - 3), (j + 1) * (k - j - 3))
-        out.append(ScaledRational.make(fr, -m))
+        out.append(PiScalar.of(fr, -m))
     return out
 
 
@@ -215,7 +268,6 @@ def beta_bessel_crosscheck(n: int) -> bool:
     k = 2 * n + 3
     theta = bessel_poly(n)
     for j in range(n + 1):
-        rhs = beta(j, k) * ScaledRational.make(Fraction((-1) ** j * 2 ** n), n)
-        if rhs.pi_power != 0 or rhs.fraction != theta.coeffs[j]:
+        if beta(j, k) * PiScalar.of((-1) ** j * 2 ** n, n) != theta.coeffs[j]:
             return False
     return True

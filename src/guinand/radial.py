@@ -71,10 +71,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coeffs import (
-    PI_50, ScaledRational, _check_odd_k, alpha, bessel_poly, betas, double_factorial,
+    PI_50, PiScalar, _check_odd_k, alpha, bessel_poly, betas, double_factorial, split_term,
 )
 from .errors import QuadratureError
-from .schwartz import GaussPoly, PiScalar, _is_zero_coeff
+from .schwartz import GaussPoly
 
 __all__ = [
     "SphereFTValue", "radial_transform", "radial_ft_closed", "radial_ft_zero",
@@ -99,13 +99,25 @@ _GUARD_BITS = 64
 _MAX_BITS = 1 << 14
 # Miller's backward recurrence starts where the forward-running dominant
 # solution has grown by this factor; the start-index error is then ~1e-20.
+# Its solution grows roughly like Gamma(k/2), past the float range once k is a
+# few hundred, so it is divided by 2^_RESCALE_BITS whenever it passes that
+# power, and the total scale is applied with ldexp at the end.
 _MILLER_GROWTH = 1e10
+_RESCALE_BITS = 500
 
 
 @functools.lru_cache(maxsize=64)
 def _beta_floats(k: int) -> tuple[float, ...]:
-    """beta_jk rounded once each (``ScaledRational.to_float``), per k."""
+    """beta_jk rounded once each (``PiScalar.to_float``), per k."""
     return tuple(b.to_float() for b in betas(k))
+
+
+@functools.lru_cache(maxsize=64)
+def _beta_integers(k: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with beta_jk = nums[j] / den * pi^(-(k-3)/2), per k."""
+    rationals = [split_term(b)[0] for b in betas(k)]
+    den = math.lcm(*(q.denominator for q in rationals))
+    return tuple(q.numerator * (den // q.denominator) for q in rationals), den
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,10 +255,8 @@ def sphere_ft_closed(k: int, t: float) -> float:
     _check_odd_k(k)
     u, z = _profile_argument(t, "closed form")
     if _small_argument(k, z):
-        bs = betas(k)
-        m = len(bs) - 1
-        den = math.lcm(*(b.den for b in bs))
-        nums = [b.num * (den // b.den) for b in bs]
+        nums, den = _beta_integers(k)
+        m = len(nums) - 1
 
         def weighted_sum(x, bits, c, s):
             quadrant = (s, c, -s, -c)
@@ -286,11 +296,14 @@ def sphere_ft_bessel(k: int, t: float) -> float:
         h = 0.25 * z * z
         mu = _miller_start(target, z)
         q_hi, q = 0.0, 1.0
-        q_target = 0.0
+        q_target, scale = 0.0, 0       # q has been divided by 2^scale since q_target
         while mu > 0.0:
             if mu == target:
-                q_target = q
+                q_target, scale = q, 0
             q_hi, q = q, mu * q - h * q_hi
+            if abs(q) > 2.0 ** _RESCALE_BITS:
+                q_hi, q = math.ldexp(q_hi, -_RESCALE_BITS), math.ldexp(q, -_RESCALE_BITS)
+                scale += _RESCALE_BITS
             mu -= 1.0
         # q, q_hi are now proportional to q_(-1/2) = cos z / sqrt(pi) and
         # q_(1/2) = 2 sin z / (z sqrt(pi))
@@ -298,8 +311,9 @@ def sphere_ft_bessel(k: int, t: float) -> float:
         c, s = math.cos(z), math.sin(z)
         norm = (c / root_pi / q if abs(c) >= abs(s)
                 else 2.0 * s / (z * root_pi) / q_hi)
+        mant, exp = math.frexp(q_target * norm)
         try:
-            return 2.0 * math.pi ** (target + 1.0) * (q_target * norm)
+            return math.ldexp(2.0 * math.pi ** (target + 1.0) * mant, exp - scale)
         except OverflowError:
             raise ValueError(f"Bessel form: pi^{target + 1.0} exceeds the float "
                              f"range at k = {k}") from None
@@ -332,15 +346,18 @@ def sphere_ft_recurrence(k: int, t: float) -> float:
         a = 2.0 * math.pi * u * u
         j = round(2.0 * _miller_start((k - 2) / 2.0, z)) + 2
         above, cur = 0.0, 1.0          # s_(j+2), s_j up to a common factor
-        value = 0.0
+        value, scale = 0.0, 0          # cur has been divided by 2^scale since value
         while j >= 3:
             if j == k:
-                value = cur
+                value, scale = cur, 0
             above, cur = cur, ((j - 2) * cur - a * above) / (2.0 * math.pi)
+            if abs(cur) > 2.0 ** _RESCALE_BITS:
+                above, cur = math.ldexp(above, -_RESCALE_BITS), math.ldexp(cur, -_RESCALE_BITS)
+                scale += _RESCALE_BITS
             j -= 2
         c, s = math.cos(z), math.sin(z)
         norm = 2.0 * c / cur if abs(c) >= abs(s) else 2.0 * s / u / above
-        return value * norm
+        return math.ldexp(value * norm, -scale)
     prev2 = 2.0 * math.cos(z)          # s_1
     prev1 = 2.0 * math.sin(z) / u      # s_3
     value = prev1
@@ -413,11 +430,11 @@ def grid_rows(ks, ts, methods) -> list[SphereFTValue]:
     return [SphereFTValue(k, t, fn(k, t), m) for k in ks for t in ts for m, fn in routes]
 
 
-def sphere_area(k: int) -> ScaledRational:
+def sphere_area(k: int) -> PiScalar:
     """Total surface area of the unit sphere in R^k: 2 (2 pi)^((k-1)/2)/(k-2)!!."""
     _check_odd_k(k)
     m = (k - 1) // 2
-    return ScaledRational.make(Fraction(2 * 2 ** m, double_factorial(k - 2)), m)
+    return PiScalar.of(Fraction(2 * 2 ** m, double_factorial(k - 2)), m)
 
 
 def _sphere_profile_stable(k: int, u: float) -> float:
@@ -467,7 +484,7 @@ def _divide_out_power(terms, sizes: dict | None, power: int) -> list:
         size = sizes.get(a, ()) if sizes is not None else ()
         for i, c in enumerate(coeffs[:power]):
             if sizes is None:
-                ok = _is_zero_coeff(c)
+                ok = c == 0
             else:
                 ok = abs(c) <= _DROP_TOL * (size[i] if i < len(size) else 0.0)
             if not ok:
@@ -483,8 +500,7 @@ def _beta_quotient(d: GaussPoly, k: int) -> GaussPoly:
     coefficient lists per Gaussian scale; u^(k-1) must divide the sum
     (``_divide_out_power`` checks the dropped coefficients)."""
     exact = d.exact
-    coefs = ([PiScalar.of(b.fraction, b.pi_power) for b in betas(k)] if exact
-             else _beta_floats(k))
+    coefs = betas(k) if exact else _beta_floats(k)
     rows: dict = {}
     sizes: dict | None = None if exact else {}
     for j, (beta, dj) in enumerate(zip(coefs, d.derivatives(len(coefs) - 1))):

@@ -12,8 +12,9 @@ point: every operation here returns another GaussPoly, so identities can be
 evaluated without any numerical transform.
 
 Coefficients are complex doubles by default.  ``exact=True`` switches the
-term coefficients to :class:`PiScalar` (Gaussian-rational combinations of
-integer powers of pi) and the scales to Fractions; differentiation and the
+term coefficients to ``coeffs.PiScalar``, the package's one exact scalar
+(Gaussian-rational combinations of integer powers of pi, also importable
+from here), and the scales to Fractions; differentiation and the
 Fourier transform then stay exact as long as every scale has a rational
 square root, which is what the coefficient-level identity tests use.
 
@@ -34,22 +35,19 @@ report the byte offset.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coeffs import PI_50
+from .coeffs import PI_50, PiScalar
 from .errors import ParseError
 
 __all__ = [
     "GaussPoly", "PiScalar", "ParsedExpr", "gauss_term", "zero", "parse",
 ]
 
-
-# --------------------------------------------------------------------------
-# exact scalars: sum over e of (q_re + i q_im) * pi^e
-# --------------------------------------------------------------------------
 
 def _rat_sqrt(fr: Fraction):
     """Exact square root of a nonnegative rational, or None."""
@@ -61,124 +59,9 @@ def _rat_sqrt(fr: Fraction):
     return None
 
 
-class PiScalar:
-    """Exact complex scalar: a finite sum of (rational + i*rational) * pi^e."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=None):
-        clean = {}
-        for e, (re_, im_) in (parts or {}).items():
-            if re_ or im_:
-                clean[e] = (Fraction(re_), Fraction(im_))
-        self.parts = clean
-
-    @staticmethod
-    def of(value, pi_power: int = 0) -> "PiScalar":
-        if isinstance(value, PiScalar):
-            if pi_power == 0:
-                return value
-            return value * PiScalar({pi_power: (Fraction(1), Fraction(0))})
-        if isinstance(value, complex):
-            re_, im_ = Fraction(value.real), Fraction(value.imag)
-        else:
-            re_, im_ = Fraction(value), Fraction(0)
-        return PiScalar({pi_power: (re_, im_)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __add__(self, other):
-        other = _as_piscalar(other)
-        if other is None:
-            return NotImplemented
-        parts = dict(self.parts)
-        for e, (re_, im_) in other.parts.items():
-            r0, i0 = parts.get(e, (Fraction(0), Fraction(0)))
-            parts[e] = (r0 + re_, i0 + im_)
-        return PiScalar(parts)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PiScalar({e: (-r, -i) for e, (r, i) in self.parts.items()})
-
-    def __sub__(self, other):
-        other = _as_piscalar(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_piscalar(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_piscalar(other)
-        if other is None:
-            return NotImplemented
-        parts: dict[int, tuple[Fraction, Fraction]] = {}
-        for e1, (r1, i1) in self.parts.items():
-            for e2, (r2, i2) in other.parts.items():
-                e = e1 + e2
-                r0, i0 = parts.get(e, (Fraction(0), Fraction(0)))
-                parts[e] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
-        return PiScalar(parts)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _as_piscalar(other)
-        if other is None:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(frozenset(self.parts.items()))
-
-    def __complex__(self) -> complex:
-        re_ = Fraction(0)
-        im_ = Fraction(0)
-        for e, (r, i) in self.parts.items():
-            scale = PI_50 ** e
-            re_ += r * scale
-            im_ += i * scale
-        return complex(float(re_), float(im_))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "PiScalar(0)"
-        bits = []
-        for e in sorted(self.parts):
-            r, i = self.parts[e]
-            s = f"({r}+{i}i)" if i else f"{r}"
-            bits.append(s if e == 0 else f"{s}*pi^{e}")
-        return "PiScalar(" + " + ".join(bits) + ")"
-
-
-PiScalar.I = PiScalar({0: (Fraction(0), Fraction(1))})
-
-
-def _as_piscalar(v):
-    if isinstance(v, PiScalar):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return PiScalar.of(v)
-    if isinstance(v, complex) and v.real == int(v.real) and v.imag == int(v.imag):
-        return PiScalar.of(v)
-    return None
-
-
 # --------------------------------------------------------------------------
 # the function algebra
 # --------------------------------------------------------------------------
-
-def _is_zero_coeff(c) -> bool:
-    return c.is_zero if isinstance(c, PiScalar) else c == 0
-
 
 class GaussPoly:
     """Immutable sum of terms p(t) * exp(-pi * a * t^2) with distinct a > 0.
@@ -195,8 +78,7 @@ class GaussPoly:
         for a, coeffs in terms:
             if exact:
                 a = Fraction(a)
-                coeffs = [PiScalar.of(c) if not isinstance(c, PiScalar) else c
-                          for c in coeffs]
+                coeffs = [PiScalar.of(c) for c in coeffs]
             else:
                 a = float(a)
                 coeffs = [complex(c) for c in coeffs]
@@ -215,7 +97,7 @@ class GaussPoly:
         out = []
         for a in sorted(merged):
             coeffs = merged[a]
-            while coeffs and _is_zero_coeff(coeffs[-1]):
+            while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if coeffs:
                 out.append((a, tuple(coeffs)))
@@ -329,7 +211,9 @@ class GaussPoly:
         """Exact transform in the same algebra.
 
         Per term: exp(-pi a t^2) -> a^(-1/2) exp(-pi xi^2 / a), and each
-        power of t applies (i / 2 pi) d/dxi to the transformed term.
+        power of t applies (i / 2 pi) d/dxi to the transformed term.  In
+        float mode a term whose transform leaves the float range (a very
+        wide Gaussian) raises ValueError naming its scale.
         """
         result = GaussPoly(exact=self.exact)
         for a, coeffs in self.terms:
@@ -347,9 +231,13 @@ class GaussPoly:
                 i_over_2pi = 1j / (2.0 * math.pi)
             h = GaussPoly([(b, [amp])], exact=self.exact)
             for c in coeffs:
-                if not _is_zero_coeff(c):
+                if c != 0:
                     result = result + h.scale(c)
                 h = h.derivative().scale(i_over_2pi)
+            if not self.exact and not all(cmath.isfinite(x) for scale, xs in result.terms
+                                          for x in (scale, *xs)):
+                raise ValueError(f"the Fourier transform of the term on Gaussian scale "
+                                 f"{a!r} leaves the float range")
         return result
 
     def reflect(self) -> "GaussPoly":
@@ -372,7 +260,7 @@ class GaussPoly:
         """
         out = []
         for a, coeffs in self.terms:
-            if not _is_zero_coeff(coeffs[0]):
+            if coeffs[0] != 0:
                 raise ValueError(
                     "hadamard_divide requires a zero constant term in every "
                     "polynomial part")
@@ -380,12 +268,12 @@ class GaussPoly:
         return GaussPoly(out, exact=self.exact)
 
     def is_odd(self) -> bool:
-        return all(_is_zero_coeff(c)
+        return all(c == 0
                    for _, coeffs in self.terms
                    for m, c in enumerate(coeffs) if m % 2 == 0)
 
     def is_even(self) -> bool:
-        return all(_is_zero_coeff(c)
+        return all(c == 0
                    for _, coeffs in self.terms
                    for m, c in enumerate(coeffs) if m % 2 == 1)
 

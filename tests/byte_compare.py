@@ -13,7 +13,9 @@ message, not its traceback, so file paths never enter a digest.
 
 The front-end command lines of ``golden/frontend.json`` (help, usage and
 argparse errors) are digested too, under ``frontend/<name>`` keys, with
-``COLUMNS=80`` so that argparse wraps help text the same way on any terminal.
+``COLUMNS=80`` so that argparse wraps help text the same way on any terminal,
+and so is ``coeffs --k K --format F`` for every odd K from 3 to 61 and each
+format, under ``coeffs/k<K>/<F>`` keys (no benchmark job runs ``coeffs``).
 To compare with a checkout that lacks this script or that file, copy both in.
 
 The file is not collected by pytest (its name does not start with test_).
@@ -72,6 +74,10 @@ def main() -> int:
     frontend = json.loads((ROOT / "tests" / "golden" / "frontend.json").read_text("utf-8"))
     jobs = {f"frontend/{name}": {"argv": case["argv"], "sha256": digest(*run_job(case["argv"]))}
             for name, case in frontend.items()}
+    for k in range(3, 62, 2):
+        for fmt in ("exact", "float", "json"):
+            argv = ["coeffs", "--k", str(k), "--format", fmt]
+            jobs[f"coeffs/k{k}/{fmt}"] = {"argv": argv, "sha256": digest(*run_job(argv))}
     for workload in workloads.WORKLOADS:
         for seed in seeds:
             for index in lists:

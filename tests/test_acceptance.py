@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from guinand.atoms import pair, sigma_k, sigma_k_hat
-from guinand.coeffs import ScaledRational, alpha, beta, beta_bessel_crosscheck
+from guinand.coeffs import PiScalar, alpha, beta, beta_bessel_crosscheck
 from guinand.formulas import (
     _rhs_explicit_k3, _rhs_explicit_k5, lhs_general, rhs_general, verify,
     verify_shifted,
@@ -66,11 +66,11 @@ def _report(num, name, ok, detail="", started=None):
 
 def test_criterion_1_coefficient_ground_truth():
     t0 = time.time()
-    ok = (alpha(3) == ScaledRational(1, 1, 0)
-          and alpha(5) == ScaledRational(-1, 6, -1)
-          and beta(0, 3) == ScaledRational(1, 1, 0)
-          and beta(0, 5) == ScaledRational(1, 2, -1)
-          and beta(1, 5) == ScaledRational(-1, 2, -1))
+    ok = (alpha(3) == PiScalar.of(1)
+          and alpha(5) == PiScalar.of(Fraction(-1, 6), -1)
+          and beta(0, 3) == PiScalar.of(1)
+          and beta(0, 5) == PiScalar.of(Fraction(1, 2), -1)
+          and beta(1, 5) == PiScalar.of(Fraction(-1, 2), -1))
     assert _report(1, "coefficient ground truth", ok, started=t0)
 
 
@@ -219,7 +219,7 @@ def test_criterion_8_radial_four_route_and_oracle():
             if diff > 1e-12:
                 failures.append(("gaussian-fixed-point", k, t, diff))
 
-    if sphere_area(3) != ScaledRational(4, 1, 1):
+    if sphere_area(3) != PiScalar.of(4, 1):
         failures.append(("sphere-area",))
 
     cells = sorted({(f[1], f[2]) for f in failures if f[0] != "sphere-area"})

@@ -9,7 +9,7 @@ from guinand.atoms import (
     Atom, AtomComb, comb_from_json, comb_to_json, make_comb, pair, point_measure,
     project_ft, project_measure, sigma_hat_comb, sigma_k, sigma_k_hat,
 )
-from guinand.coeffs import PI_50, alpha, betas
+from guinand.coeffs import PI_50, alpha, betas, split_term
 from guinand.sumsq import rk_table
 from guinand.schwartz import parse
 
@@ -130,7 +130,7 @@ def test_sigma_hat_k7_origin_only():
 def test_sigma_k_hat_weights_round_like_fraction(k):
     # each shell weight r_k(n) beta_jk, rounded from its own exact Fraction
     N = 300
-    shells = ((n, [float((r * b).fraction * PI_50 ** b.pi_power) for b in betas(k)])
+    shells = ((n, [float(r * q * PI_50 ** e) for q, e in map(split_term, betas(k))])
               for n, r in enumerate(rk_table(k, N).counts) if n and r)
     want = sigma_hat_comb(k, complex(1.0), shells, N=N, parity="odd")
     assert sigma_k_hat(k, N).atoms == want.atoms

@@ -93,10 +93,11 @@ def test_bad_k_exits_1(capsys):
 
 
 # inputs whose floats overflow: each exits 1 with one line, never a traceback;
-# the k = 3 sums are NaN, which must fail the literal-constant cross-check
+# the transform of a very wide Gaussian is refused by its scale, and the k = 3
+# sums of a huge phi are NaN, which must fail the literal-constant cross-check
 OVERFLOWS = [
     (["verify", "--k", "3", "--phi", "t*exp(-pi*1e-300*t^2)"],
-     "error: specialized k=3 form disagrees"),
+     "error: the Fourier transform of the term on Gaussian scale 1e-300 leaves"),
     (["verify", "--k", "3", "--phi", "1e308*t*exp(-pi*t^2)"],
      "error: specialized k=3 form disagrees"),
     (["sphere-ft", "--k", "5", "--t", "1e300"], "error: closed form: |t|^3 exceeds"),
@@ -104,6 +105,8 @@ OVERFLOWS = [
      "error: cannot certify s_5001"),
     (["verify", "--k", "3", "--phi", "1e400*t*exp(-pi*t^2)"],
      "parse error at byte 0: number is beyond the float range"),
+    (["verify", "--k", "7", "--phi", "t*exp(-pi*1e-300*t^2)"],
+     "error: the Fourier transform of the term on Gaussian scale 1e-300 leaves"),
 ]
 
 

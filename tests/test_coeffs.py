@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from guinand.coeffs import (
-    PI_50, ScaledRational, alpha, bessel_poly, beta, beta_bessel_crosscheck, betas,
-    double_factorial,
+    PI_50, PiScalar, alpha, bessel_poly, beta, beta_bessel_crosscheck, betas,
+    double_factorial, split_term,
 )
 
 
@@ -23,10 +23,10 @@ def test_double_factorial_conventions():
 def test_alpha_known_values():
     # k = 3 makes the transformed series i * psi'(0) + ..., and k = 5
     # carries the classical -1/(6 pi) third-derivative coefficient
-    assert alpha(3) == ScaledRational(1, 1, 0)
-    assert alpha(5) == ScaledRational(-1, 6, -1)
-    assert alpha(7) == ScaledRational(1, 60, -2)
-    assert alpha(9) == ScaledRational(-1, 840, -3)
+    assert alpha(3) == PiScalar.of(1)
+    assert alpha(5) == PiScalar.of(Fraction(-1, 6), -1)
+    assert alpha(7) == PiScalar.of(Fraction(1, 60), -2)
+    assert alpha(9) == PiScalar.of(Fraction(-1, 840), -3)
 
 
 def test_alpha_rejects_bad_k():
@@ -36,12 +36,12 @@ def test_alpha_rejects_bad_k():
 
 
 def test_beta_known_values():
-    assert beta(0, 3) == ScaledRational(1, 1, 0)
-    assert beta(0, 5) == ScaledRational(1, 2, -1)
-    assert beta(1, 5) == ScaledRational(-1, 2, -1)
-    assert beta(0, 7) == ScaledRational(3, 4, -2)
-    assert beta(1, 7) == ScaledRational(-3, 4, -2)
-    assert beta(2, 7) == ScaledRational(1, 4, -2)
+    assert beta(0, 3) == PiScalar.of(1)
+    assert beta(0, 5) == PiScalar.of(Fraction(1, 2), -1)
+    assert beta(1, 5) == PiScalar.of(Fraction(-1, 2), -1)
+    assert beta(0, 7) == PiScalar.of(Fraction(3, 4), -2)
+    assert beta(1, 7) == PiScalar.of(Fraction(-3, 4), -2)
+    assert beta(2, 7) == PiScalar.of(Fraction(1, 4), -2)
 
 
 def test_betas_ratio_recurrence_matches_each_beta():
@@ -63,9 +63,9 @@ def test_beta_range_checks():
 def test_beta_sign_pattern():
     for k in range(3, 23, 2):
         for j in range((k - 3) // 2 + 1):
-            b = beta(j, k)
-            assert b.num != 0
-            assert (b.num > 0) == (j % 2 == 0), (j, k)
+            q, _ = split_term(beta(j, k))
+            assert q != 0
+            assert (q > 0) == (j % 2 == 0), (j, k)
 
 
 def test_scaled_rational_to_float_against_mpmath():
@@ -73,9 +73,10 @@ def test_scaled_rational_to_float_against_mpmath():
     mp.mp.dps = 40
     cases = [alpha(k) for k in range(3, 17, 2)]
     cases += [beta(j, 15) for j in range(7)]
-    cases += [ScaledRational.make(Fraction(22, 7), 5)]
+    cases += [PiScalar.of(Fraction(22, 7), 5)]
     for sr in cases:
-        want = mp.mpf(sr.num) / sr.den * mp.pi ** sr.pi_power
+        q, e = split_term(sr)
+        want = mp.mpf(q.numerator) / q.denominator * mp.pi ** e
         got = sr.to_float()
         assert abs(got - float(want)) <= abs(float(want)) * 2.3e-16
 
@@ -87,27 +88,31 @@ def test_to_float_rounds_like_fraction():
     cases += [r * b for b in betas(41)[::4]
               for r in (10 ** 15 - 1, 10 ** 15, 10 ** 15 + 7, 2 ** 50 + 1)]
     for sr in cases:
-        assert sr.to_float() == float(sr.fraction * PI_50 ** sr.pi_power), sr
+        q, e = split_term(sr)
+        assert sr.to_float() == float(q * PI_50 ** e), sr
 
 
 def test_scaled_rational_arithmetic_is_exact():
-    a = ScaledRational.make(Fraction(1, 3), -1)
-    b = ScaledRational.make(Fraction(1, 6), -1)
-    assert a + b == ScaledRational.make(Fraction(1, 2), -1)
-    assert a * 3 == ScaledRational.make(1, -1)
-    with pytest.raises(ValueError):
-        a + ScaledRational.make(1, 0)
+    a = PiScalar.of(Fraction(1, 3), -1)
+    b = PiScalar.of(Fraction(1, 6), -1)
+    assert a + b == PiScalar.of(Fraction(1, 2), -1)
+    assert a * 3 == PiScalar.of(1, -1)
 
 
 def test_scaled_rational_is_an_immutable_value():
-    a = ScaledRational(1, 3, -1)
-    assert repr(a) == "ScaledRational(num=1, den=3, pi_power=-1)"
-    assert {a: 1}[ScaledRational.make(Fraction(2, 6), -1)] == 1
-    assert ScaledRational(0, 1, 2) == 0 and hash(ScaledRational(0, 1, 2)) == hash(0)
+    a = PiScalar.of(Fraction(1, 3), -1)
+    assert repr(a) == "PiScalar(1/3 * pi^-1)"
+    assert {a: 1}[PiScalar.of(Fraction(2, 6), -1)] == 1
+    assert PiScalar.of(0, 2) == 0 and hash(PiScalar.of(0, 2)) == hash(0)
+    for v in (3, Fraction(1, 2)):     # equal values hash alike, so dict lookups agree
+        assert PiScalar.of(v) == v and hash(PiScalar.of(v)) == hash(v)
+        assert {v: 1}[PiScalar.of(v)] == 1
+    with pytest.raises(TypeError):
+        a.parts[-1] = (Fraction(1), Fraction(0))
     with pytest.raises(AttributeError):
-        a.num = 2
+        a.parts = {}
     with pytest.raises(AttributeError):
-        del a.den
+        del a.parts
 
 
 def test_bessel_poly_base_cases_and_recurrence():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guinand.cli import _to_json
+from guinand.coeffs import PI_50, PiScalar
 from guinand.formulas import (
     lhs_general, rhs_general, shell_table, shifted_nodes, verify,
 )
@@ -88,6 +89,37 @@ def test_envelope_bounds_the_function(f, u, negative, shift):
     bound = math.fsum(c * u ** p * math.exp(-math.pi * a * t * t)
                       for c, p, a in f.envelope(shift))
     assert abs(f.eval(t)) * u ** shift <= bound * (1 + 1e-12)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def pi_scalars(draw, real=False):
+    """PiScalar with up to three pi powers in [-3, 3] and small rational parts."""
+    powers = draw(st.lists(st.integers(-3, 3), max_size=3, unique=True))
+    return PiScalar({e: (draw(SMALL_RATIONALS), 0 if real else draw(SMALL_RATIONALS))
+                     for e in powers})
+
+
+def _at_pi_50(p: PiScalar) -> tuple[Fraction, Fraction]:
+    """The value at pi = PI_50 as an exact complex number (re, im)."""
+    return (sum((r * PI_50 ** e for e, (r, _) in p.parts.items()), Fraction(0)),
+            sum((i * PI_50 ** e for e, (_, i) in p.parts.items()), Fraction(0)))
+
+
+@given(pi_scalars(), pi_scalars())
+def test_pi_scalar_evaluation_commutes_with_arithmetic(p, q):
+    (a, b), (c, d) = _at_pi_50(p), _at_pi_50(q)
+    assert _at_pi_50(p + q) == (a + c, b + d)
+    assert _at_pi_50(p - q) == (a - c, b - d)
+    assert _at_pi_50(p * q) == (a * c - b * d, a * d + b * c)
+
+
+@given(pi_scalars(real=True), st.integers(-10 ** 20, 10 ** 20))
+def test_pi_scalar_to_float_rounds_like_fraction(p, r):
+    for v in (p, r * p):
+        assert v.to_float() == float(_at_pi_50(v)[0])
 
 
 @st.composite

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guinand import radial
-from guinand.coeffs import ScaledRational
 from guinand.errors import QuadratureError
 from guinand.radial import (
     SPHERE_METHODS, _divide_out_power, bk_recurrence_check, radial_ft_closed,
@@ -205,9 +204,9 @@ def test_sphere_routes_refuse_overflow_with_value_error():
 
 
 def test_sphere_area_exact():
-    assert sphere_area(3) == ScaledRational(4, 1, 1)          # 4 pi
-    assert sphere_area(5) == ScaledRational(8, 3, 2)          # 8 pi^2 / 3
-    assert sphere_area(7) == ScaledRational(16, 15, 3)        # 16 pi^3 / 15
+    assert sphere_area(3) == PiScalar.of(4, 1)                    # 4 pi
+    assert sphere_area(5) == PiScalar.of(Fraction(8, 3), 2)       # 8 pi^2 / 3
+    assert sphere_area(7) == PiScalar.of(Fraction(16, 15), 3)     # 16 pi^3 / 15
 
 
 # ---- small t: 2 pi t below the order (k-2)/2 -------------------------------------
@@ -228,6 +227,22 @@ def test_small_t_against_mpmath():
                 want = float(mp.exp(-mp.pi * mp.mpf(t) ** 2))
                 got = radial_ft_closed(GAUSS, k, t)
                 assert abs(got - want) <= 1e-13 * want, (k, t, got)
+
+
+def test_sphere_routes_at_large_k_against_mpmath():
+    # Miller's backward recurrences pass the float range near k = 400; at
+    # (601, 10) s_k is below every subnormal, so each route must underflow
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for k, t in ((401, 10.0), (401, 20.0)):
+            nu = mp.mpf(k - 2) / 2
+            want = 2 * mp.pi * mp.mpf(t) ** (-nu) * mp.besselj(nu, 2 * mp.pi * t)
+            for name, fn in SPHERE_METHODS.items():
+                got = fn(k, t)
+                assert abs(got - want) <= 1e-12 * abs(want), (name, k, t, got)
+    for name, fn in SPHERE_METHODS.items():
+        got = fn(601, 10.0)
+        assert abs(got) <= 2.3e-308, (name, got)  # false for NaN too
 
 
 def test_routes_call_no_other_route(monkeypatch):

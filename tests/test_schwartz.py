@@ -118,6 +118,12 @@ def test_fourier_exact_requires_rational_sqrt():
         gauss_term(Fraction(1, 2), [1], exact=True).fourier()
 
 
+def test_fourier_refuses_a_transform_beyond_the_float_range():
+    # 1/a = 1e300 is a float, but the t coefficient 2 pi/a * a^(-1/2) is not
+    with pytest.raises(ValueError, match="Gaussian scale 1e-300 leaves the float range"):
+        parse("t*exp(-pi*1e-300*t^2)").value.fourier()
+
+
 def test_fourier_involution_equals_reflection():
     rng = random.Random(20)
     for _ in range(20):
