@@ -27,8 +27,11 @@ for the sigma_hat type (beta-weighted derivative atoms at +-v).
 
 Locations are sqrt(shell) with the shell kept exact (int or Fraction)
 alongside the float, so atoms on equal shells merge by exact comparison,
-never by float equality.  Pairing accumulates in ascending (location, order)
-with compensated summation, which makes results reproducible.
+never by float equality.  The canonical order of a comb is ascending
+(location, order): ``make_comb`` sorts into it, and the builders emit it
+directly unless two shells round to one float location.  Pairing
+accumulates in that order with compensated summation, which makes results
+reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import NamedTuple
 from .coeffs import _check_odd_k, alpha, betas, round_multiples
 from .schwartz import GaussPoly
 from .sumsq import DEFAULT_TABLE_CAP, rk_table
-from .util import CompensatedSum, Frozen
+from .util import Frozen, comp_sum
 
 __all__ = [
     "Atom", "AtomComb", "PointMeasure", "make_comb", "pair",
@@ -57,9 +60,6 @@ class Atom(NamedTuple):
     order: int
     weight: complex
     shell: int | Fraction | None = None  # exact location**2 when known
-
-    def pair(self, derivs) -> complex:
-        return self.weight * (-1) ** self.order * derivs[self.order].eval(self.location)
 
 
 class AtomComb(Frozen):
@@ -111,42 +111,64 @@ def make_comb(atoms, **meta) -> AtomComb:
 def pair(comb: AtomComb, f: GaussPoly) -> complex:
     """<comb, f> = sum of weight * (-1)^order * f^(order)(location).
 
-    Summation runs in the comb's canonical (location, order) order with
-    compensated accumulation.
+    One ``eval_many`` call per derivative order, the last atom's order last
+    (for the errno, see ``formulas._lhs_terms``); summation runs in the
+    comb's canonical order with compensated accumulation.
     """
     derivs = f.derivatives(comb.max_order)
-    acc = CompensatedSum()
-    for atom in comb.atoms:
-        acc.add(atom.pair(derivs))
-    return acc.total
+    atoms = comb.atoms
+    orders = [a.order for a in atoms]
+    values = {}
+    for order in sorted(set(orders), key=lambda o: o == orders[-1]):
+        values[order] = iter(derivs[order].eval_many([a.location for a in atoms
+                                                      if a.order == order]))
+    return comp_sum([a.weight * (-1) ** o * next(values[o]) for a, o in zip(atoms, orders)])
 
 
 # --------------------------------------------------------------------------
 # the two comb builders
 # --------------------------------------------------------------------------
 
+def _shell_comb(origin_atom, per_shell, meta: dict) -> AtomComb:
+    """``make_comb`` of ``origin_atom`` (or None) and, per ascending shell,
+    atoms alternating +v, -v by ascending order: the -v atoms by descending
+    shell, the origin atom, the +v atoms, unless two locations collide."""
+    head = [origin_atom] if origin_atom is not None else []
+    locations = [atoms[0].location for atoms in per_shell]
+    if any(a >= b for a, b in zip(locations, locations[1:])):
+        return make_comb(head + [a for atoms in per_shell for a in atoms], **meta)
+    ordered = [a for atoms in reversed(per_shell) for a in atoms[1::2]] + head \
+        + [a for atoms in per_shell for a in atoms[0::2]]
+    return AtomComb(tuple(a for a in ordered if a.weight != 0), meta)
+
+
 def sigma_comb(k: int, origin: complex, shells: dict, **meta) -> AtomComb:
     """-2 origin d'_0 + sum over shells of w/|v| (d_{+v} - d_{-v}), with
     v = sqrt(shell) for each {exact shell: weight w}."""
-    atoms = [Atom(0.0, 1, -2 * origin, 0)] if origin != 0 else []
+    origin_atom = Atom(0.0, 1, -2 * origin, 0) if origin != 0 else None
+    per_shell = []
     for nsq in sorted(shells):
         v = math.sqrt(float(nsq))
         w = shells[nsq] / v
-        atoms += [Atom(v, 0, w, nsq), Atom(-v, 0, -w, nsq)]
-    return make_comb(atoms, k=k, **meta)
+        per_shell.append((Atom(v, 0, w, nsq), Atom(-v, 0, -w, nsq)))
+    return _shell_comb(origin_atom, per_shell, {"k": k, **meta})
 
 
 def sigma_hat_comb(k: int, origin: complex, shells, **meta) -> AtomComb:
     """2 i origin alpha_k d^(k-2)_0 - i sum over (shell, base_by_j) pairs of
     sum_j base_j v^j / v^(k-2) ((-1)^j d^(j)_{+v} - d^(j)_{-v}), v = sqrt(shell)."""
-    atoms = [Atom(0.0, k - 2, (2j * origin) * alpha(k).to_float(), 0)] if origin != 0 else []
+    origin_atom = (Atom(0.0, k - 2, (2j * origin) * alpha(k).to_float(), 0)
+                   if origin != 0 else None)
+    per_shell = []
     for nsq, base_by_j in shells:
         v = math.sqrt(float(nsq))
+        atoms = []
         for j, base in enumerate(base_by_j):
             mag = base * v ** j / v ** (k - 2)
             atoms += [Atom(v, j, (-1j) * (mag if j % 2 == 0 else -mag), nsq),
                       Atom(-v, j, (1j) * mag, nsq)]
-    return make_comb(atoms, k=k, **meta)
+        per_shell.append(atoms)
+    return _shell_comb(origin_atom, per_shell, {"k": k, **meta})
 
 
 def sigma_k(k: int, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> AtomComb:

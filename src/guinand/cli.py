@@ -219,17 +219,27 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _shell_csv(shell_rows) -> str:
+    """``verify --format csv``: the text ``_write_csv`` gives for the rows
+    with each float through ``_fmt_float``, one format per row."""
+    columns = ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")
+    lines = [",".join(["n", "r_k"] + [f"{c}_{part}" for c in columns for part in ("re", "im")])]
+    line = "%d,%d" + ",%.17g" * 8
+    for row in shell_rows:
+        values = [x for col in columns for x in (row[col].real, row[col].imag)]
+        if not math.isfinite(sum(values)):
+            for x in values:
+                _fmt_float(x)  # raises on the first non-finite value
+        lines.append(line % (row["n"], row["r_k"], *values))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_verify(args) -> int:
     phi = _parse_phi(args.phi)
     report, shell_rows = formulas._verify(args.k, phi, args.nmax, shell_rows=args.format == "csv",
                                           **_workcap("table_cap"))
     if args.format == "csv":
-        columns = ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")
-        header = ["n", "r_k"] + [f"{col}_{part}" for col in columns for part in ("re", "im")]
-        rows = [[row["n"], row["r_k"]] + [_fmt_float(x) for col in columns
-                                          for x in (row[col].real, row[col].imag)]
-                for row in shell_rows]
-        _write_csv(args, header, rows)
+        _write(args, _shell_csv(shell_rows))
     else:
         _write(args, _to_json(report.to_dict()) + "\n")
     return 0 if report.rel_residual <= args.tol else 2

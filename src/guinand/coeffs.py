@@ -244,18 +244,14 @@ class BesselPoly(NamedTuple):
 
 
 def bessel_poly(n: int) -> BesselPoly:
-    """theta_n by the recurrence theta_n = (2n-1) theta_{n-1} + z^2 theta_{n-2}."""
+    """theta_n: z^(n-j) has the integer (n+j)!/(2^j j! (n-j)!), each from the
+    last by the exact ratio (n+j+1)(n-j)/(2(j+1)), n steps in all."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    prev, cur = [1], [1, 1]
-    if n == 0:
-        return BesselPoly(0, (1,))
-    for m in range(2, n + 1):
-        nxt = [(2 * m - 1) * c for c in cur] + [0] * (len(prev) + 2 - len(cur))
-        for i, c in enumerate(prev):
-            nxt[i + 2] += c
-        prev, cur = cur, nxt
-    return BesselPoly(n, tuple(cur))
+    coeffs = [1]
+    for j in range(n):
+        coeffs.append(coeffs[-1] * (n + j + 1) * (n - j) // (2 * (j + 1)))
+    return BesselPoly(n, tuple(reversed(coeffs)))
 
 
 def beta_bessel_crosscheck(n: int) -> bool:

@@ -13,10 +13,11 @@ The inner sum over j, over n^((k-2)/2), is Q(sqrt n) for one GaussPoly Q
 radial transform of f = phi/t, so a right-hand term is r_k(n) Fhat_k(sqrt n).
 
 Each side has one term builder (``_lhs_terms``, ``_rhs_terms``) over an
-origin weight and ascending (shell, weight) pairs, node sqrt(shell/den).
-``verify`` feeds both the shells of one r_k table and reports the sums at
-truncation N with residuals and certified bounds on the discarded tails;
-``lhs_general``, ``rhs_general`` and ``shell_table`` sum the same terms.
+origin weight and ascending (shell, weight) pairs, node sqrt(shell/den),
+with one ``GaussPoly.eval_many`` call over all nodes.  ``verify`` feeds both
+the shells of one r_k table and reports the sums at truncation N with
+residuals and certified bounds on the discarded tails; ``lhs_general``,
+``rhs_general`` and ``shell_table`` sum the same terms.
 For k = 3 and k = 5 ``verify`` additionally evaluates the specialized explicit
 forms (i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n), and the
 psi - sqrt(n) psi' combination with prefactor i/(2 pi), written with their
@@ -109,23 +110,26 @@ def _require_odd_phi(phi: GaussPoly, name: str = "phi") -> None:
 def _lhs_terms(phi: GaussPoly, origin, shells, den: int) -> list[tuple]:
     """(shell, weight, term) for the left-hand series: (0, origin, origin
     phi'(0)), then w/v phi(v), v = sqrt(shell/den), for each of the ascending
-    (shell, w) pairs with shell and w nonzero."""
-    terms = [(0, origin, origin * phi.derivative().eval(0.0))]
-    for n, w in shells:
-        if n and w:
-            v = math.sqrt(n / den)
-            terms.append((n, w, w / v * phi.eval(v)))
-    return terms
+    (shell, w) pairs with shell and w nonzero.
+
+    Both builders end, as a loop over the nodes would, on the last node's
+    math.exp (origin term and divisions first): the errno it leaves decides
+    whether a later abs() of a complex with a NaN part raises."""
+    origin_term = origin * phi.derivative().eval(0.0)
+    shells = [(n, w) for n, w in shells if n and w]
+    nodes = [math.sqrt(n / den) for n, _ in shells]
+    scaled = [w / v for (_, w), v in zip(shells, nodes)]
+    return [(0, origin, origin_term)] + [
+        (n, w, c * y) for (n, w), c, y in zip(shells, scaled, phi.eval_many(nodes))]
 
 
 def _rhs_terms(k: int, psi: GaussPoly, q: GaussPoly, origin, shells, den: int) -> list[tuple]:
     """The same for the right-hand series: (0, origin, i origin alpha_k
     psi^(k-2)(0)), then i w Q(v) with q = Q = ``_beta_quotient(psi, k)``."""
-    terms = [(0, origin, origin * 1j * alpha(k).to_float() * psi.derivative(k - 2).eval(0.0))]
-    for n, w in shells:
-        if n and w:
-            terms.append((n, w, 1j * w * q.eval(math.sqrt(n / den))))
-    return terms
+    origin_term = origin * 1j * alpha(k).to_float() * psi.derivative(k - 2).eval(0.0)
+    shells = [(n, w) for n, w in shells if n and w]
+    values = q.eval_many([math.sqrt(n / den) for n, _ in shells])
+    return [(0, origin, origin_term)] + [(n, w, 1j * w * y) for (n, w), y in zip(shells, values)]
 
 
 def lhs_general(k: int, phi: GaussPoly, N: int) -> complex:
@@ -147,31 +151,25 @@ def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
 
 
 def _rhs_explicit_k3(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
-    # i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n)
-    table = rk_table(3, N, table_cap=table_cap)
-    acc = CompensatedSum()
-    acc.add(1j * psi.derivative().eval(0.0))
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if r:
-            s = math.sqrt(n)
-            acc.add(1j * r / s * psi.eval(s))
-    return acc.total
+    # i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n), in the order of _lhs_terms
+    shells = [(n, r) for n, r in enumerate(rk_table(3, N, table_cap=table_cap).counts)
+              if n and r]
+    origin_term = 1j * psi.derivative().eval(0.0)
+    roots = [math.sqrt(n) for n, _ in shells]
+    scaled = [1j * r / s for (_, r), s in zip(shells, roots)]
+    return comp_sum([origin_term] + [c * y for c, y in zip(scaled, psi.eval_many(roots))])
 
 
 def _rhs_explicit_k5(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
     # -i/(6 pi) psi'''(0) + i/(2 pi) sum r_5(n)/n^(3/2) [psi(sqrt n) - sqrt(n) psi'(sqrt n)]
-    table = rk_table(5, N, table_cap=table_cap)
+    shells = [(n, r) for n, r in enumerate(rk_table(5, N, table_cap=table_cap).counts)
+              if n and r]
     dpsi = psi.derivative()
-    acc = CompensatedSum()
-    acc.add(-1j / (6.0 * math.pi) * psi.derivative(3).eval(0.0))
-    for n in range(1, N + 1):
-        r = table.counts[n]
-        if r:
-            s = math.sqrt(n)
-            acc.add(1j / (2.0 * math.pi) * r / s ** 3
-                    * (psi.eval(s) - s * dpsi.eval(s)))
-    return acc.total
+    origin_term = -1j / (6.0 * math.pi) * psi.derivative(3).eval(0.0)
+    roots = [math.sqrt(n) for n, _ in shells]
+    scaled = [1j / (2.0 * math.pi) * r / s ** 3 for (_, r), s in zip(shells, roots)]
+    values = zip(roots, psi.eval_many(roots), dpsi.eval_many(roots))
+    return comp_sum([origin_term] + [c * (y - s * dy) for c, (s, y, dy) in zip(scaled, values)])
 
 
 def _shell_rows(lhs_terms, rhs_terms) -> list[dict]:

@@ -67,8 +67,8 @@ class GaussPoly:
     """Immutable sum of terms p(t) * exp(-pi * a * t^2) with distinct a > 0.
 
     ``terms`` and ``exact`` are the value; ``==`` and ``hash`` read only
-    them.  ``_plan`` is the float evaluation plan that ``eval`` stores on
-    its first call (None until then).
+    them.  ``_plan`` is the float evaluation plan that ``eval`` or
+    ``eval_many`` stores on its first call (None until then).
     """
 
     __slots__ = ("terms", "exact", "_plan")
@@ -156,26 +156,65 @@ class GaussPoly:
 
     # ---- analysis --------------------------------------------------------
 
-    def eval(self, t: float) -> complex:
-        """Value at a real point: Horner per term times the Gaussian factor.
-
-        The first call stores the plan (-pi*a, coefficients as complex
-        doubles from the highest power down) per term; every call runs the
-        same Horner steps and exp(-pi*a * t^2) on it, so a value does not
-        depend on whether the plan was just built.
+    def _get_plan(self) -> tuple:
+        """Per term (-pi*a, coefficients as complex doubles from the highest
+        power down, passes), built on the first call and stored.  A pass
+        (p, xs) holds part p (0 real, 1 imaginary) of the same coefficients,
+        when not all of them are zero.
         """
         plan = self._plan
         if plan is None:
-            plan = tuple((-math.pi * float(a), tuple(complex(c) for c in reversed(coeffs)))
-                         for a, coeffs in self.terms)
+            plan = []
+            for a, coeffs in self.terms:
+                cs = tuple(complex(c) for c in reversed(coeffs))
+                parts = (tuple(c.real for c in cs), tuple(c.imag for c in cs))
+                plan.append((-math.pi * float(a), cs,
+                             tuple((p, xs) for p, xs in enumerate(parts) if any(xs))))
+            plan = tuple(plan)
             object.__setattr__(self, "_plan", plan)
+        return plan
+
+    def eval(self, t: float) -> complex:
+        """Value at a real point: Horner per term times the Gaussian factor.
+
+        Every call runs the same Horner steps and exp(-pi*a * t^2) on the
+        stored plan, so a value does not depend on whether the plan was just
+        built.
+        """
         total = 0j
-        for neg_pi_a, coeffs in plan:
+        for neg_pi_a, coeffs, _ in self._get_plan():
             acc = 0j
             for c in coeffs:
                 acc = acc * t + c
             total += acc * math.exp(neg_pi_a * (t * t))
         return total
+
+    def eval_many(self, ts) -> list[complex]:
+        """[self.eval(t) for t in ts], bit for bit, batched over the points.
+
+        Terms run outside, points inside, and Horner runs on floats, on the
+        real and on the imaginary parts of a term's coefficients (a part
+        that is all zero is skipped).  At a real t the complex steps of
+        ``eval`` compute the same two values but for the sign of a zero,
+        which no later step makes nonzero, and a point's running sums start
+        at +0.0, so adding a zero of either sign leaves them as they are.
+        That holds while every value is finite; if a point or a Horner value
+        is not, the call returns ``eval`` at each point instead.
+        """
+        ts = list(ts)
+        squares = [t * t for t in ts]
+        if not math.isfinite(sum(squares)):
+            return [self.eval(t) for t in ts]
+        sums, exp = [[0.0] * len(ts), [0.0] * len(ts)], math.exp
+        for neg_pi_a, _, passes in self._get_plan():
+            for p, xs in passes:
+                vals = [xs[0]] * len(ts)
+                for c in xs[1:]:
+                    vals = [v * t + c for v, t in zip(vals, ts)]
+                if not math.isfinite(sum(vals)):
+                    return [self.eval(t) for t in ts]
+                sums[p] = [s + v * exp(neg_pi_a * q) for s, v, q in zip(sums[p], vals, squares)]
+        return list(map(complex, *sums))
 
     def derivative(self, order: int = 1) -> "GaussPoly":
         """Exact symbolic derivative: p -> p' - 2 pi a t p, repeated."""

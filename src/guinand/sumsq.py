@@ -63,14 +63,14 @@ def rk_table(k: int, max_n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> RepTa
         raise WorkCapExceeded(
             f"table size {max_n + 1} exceeds cap {table_cap + 1}; "
             f"raise the cap explicitly if this is intended")
-    squares = [s * s for s in range(1, math.isqrt(max_n) + 1)]
     counts = [1] + [0] * max_n
+    pairs = []  # (s^2, (k+1) s^2) for s^2 <= n
     for n in range(1, max_n + 1):
+        if math.isqrt(n) ** 2 == n:
+            pairs.append((n, (k + 1) * n))
         acc = 0
-        for ss in squares:
-            if ss > n:
-                break
-            acc += ((k + 1) * ss - n) * counts[n - ss]
+        for ss, kss in pairs:
+            acc += (kss - n) * counts[n - ss]
         counts[n] = 2 * acc // n
     return RepTable(k, max_n, tuple(counts))
 

@@ -1,8 +1,9 @@
 """Small helpers: the package's one summation primitive, a relative
 difference, and the base of its immutable __slots__ classes.
 
-Every term of every series passes through ``CompensatedSum.add``, so it
-writes the Neumaier step out inline instead of calling a helper.
+Every term of every series passes through ``comp_sum`` or, where the
+running partials are wanted too, ``CompensatedSum.add``; both write the
+same Neumaier step out inline instead of calling a helper.
 """
 
 from __future__ import annotations
@@ -69,11 +70,25 @@ class CompensatedSum:
 
 
 def comp_sum(values) -> complex:
-    """Compensated sum of an iterable of complex values, in iteration order."""
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    return acc.total
+    """Compensated sum of an iterable of complex values, in iteration order:
+    a ``CompensatedSum`` total, bit for bit, on local floats."""
+    sr = si = cr = ci = 0.0
+    for z in map(complex, values):
+        x = z.real
+        t = sr + x
+        if abs(sr) >= abs(x):
+            cr += (sr - t) + x
+        else:
+            cr += (x - t) + sr
+        sr = t
+        x = z.imag
+        t = si + x
+        if abs(si) >= abs(x):
+            ci += (si - t) + x
+        else:
+            ci += (x - t) + si
+        si = t
+    return complex(sr + cr, si + ci)
 
 
 def rel_diff(a: complex, b: complex, floor: float = 1e-300) -> float:

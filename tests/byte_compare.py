@@ -16,6 +16,10 @@ argparse errors) are digested too, under ``frontend/<name>`` keys, with
 ``COLUMNS=80`` so that argparse wraps help text the same way on any terminal,
 and so is ``coeffs --k K --format F`` for every odd K from 3 to 61 and each
 format, under ``coeffs/k<K>/<F>`` keys (no benchmark job runs ``coeffs``).
+The fixed lines of ``EDGE_CASES`` go in under ``edge/<name>`` keys: they
+reach the signs of zero and the overflows that the benchmark's test
+functions, all with positive real coefficients, never produce, and the
+Bessel-polynomial route of ``sphere-ft`` at large k.
 To compare with a checkout that lacks this script or that file, copy both in.
 
 The file is not collected by pytest (its name does not start with test_).
@@ -38,6 +42,49 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from guinand import cli  # noqa: E402
+
+_G = "exp(-pi*t^2)"
+_H = "exp(-pi*2/3*t^2)"
+# name -> argv; phi with imaginary, mixed, negative and -0.0 coefficients
+# (the parser turns -i into -0.0 - 1i), sums that overflow, every output path
+EDGE_CASES = {
+    "verify-imaginary": ["verify", "--k", "3", "--phi", f"i*t*{_G}", "--nmax", "200"],
+    "verify-minus-imaginary": ["verify", "--k", "7", "--phi", f"-i*t^3*{_H}", "--nmax", "300"],
+    "verify-mixed": ["verify", "--k", "7", "--phi", f"(1+i)*t*{_G}", "--nmax", "200"],
+    "verify-negative": ["verify", "--k", "5", "--phi", f"-2*t*{_H} - t^3*{_H}", "--nmax", "300"],
+    "verify-two-gaussians": ["verify", "--k", "9", "--phi", f"t*{_G} + i*t^3*exp(-pi*2*t^2)",
+                             "--nmax", "300"],
+    "verify-overflow": ["verify", "--k", "7", "--phi", f"1e300*t^5*{_G}", "--nmax", "2100"],
+    "verify-overflow-k5": ["verify", "--k", "5", "--phi", f"1e300*t^5*{_G}", "--nmax", "2100"],
+    "duality-k9": ["duality", "--k", "9", "--phi", f"t*{_H}", "--nmax", "200"],
+    "duality-k15": ["duality", "--k", "15", "--phi", f"-t^3*{_G}", "--nmax", "120"],
+    "duality-mixed": ["duality", "--k", "5", "--phi", f"(1+i)*t*{_G} - i*t^3*{_H}",
+                      "--nmax", "200"],
+    "duality-overflow": ["duality", "--k", "7", "--phi", f"1e300*t^5*{_G}", "--nmax", "2100"],
+    "verify-csv-k3": ["verify", "--k", "3", "--phi", f"t*{_G}", "--nmax", "150",
+                      "--format", "csv"],
+    "verify-csv-k13": ["verify", "--k", "13", "--phi", f"-t*{_H} + 2*t^3*{_G}",
+                       "--nmax", "150", "--format", "csv"],
+    "verify-csv-imaginary": ["verify", "--k", "5", "--phi", f"-i*t*{_G}", "--nmax", "150",
+                             "--format", "csv"],
+    "verify-csv-mixed": ["verify", "--k", "7", "--phi", f"(1-i)*t*{_G} + i*t^3*{_H}",
+                         "--nmax", "150", "--format", "csv"],
+    "verify-csv-overflow": ["verify", "--k", "7", "--phi", f"1e300*t^5*{_G}", "--nmax", "2100",
+                            "--format", "csv"],
+    "verify-shifted-negative": ["verify-shifted", "--k", "3", "--eta", "1/2,0,1/3",
+                                "--xi", "0,1/4,0", "--phi", f"-3*t*{_G}",
+                                "--r-time", "5", "--r-freq", "5"],
+    "verify-shifted-mixed": ["verify-shifted", "--k", "5", "--eta", "1/3,0,0,0,1/2",
+                             "--xi", "1/2,0,0,0,0", "--phi", f"(2-i)*t*{_G}",
+                             "--r-time", "3", "--r-freq", "3"],
+    # the Bessel-polynomial route at large k (theta_n has n + 1 coefficients)
+    "sphere-ft-besselpoly-k61": ["sphere-ft", "--k", "61", "--t-grid", "0.1:12:0.7",
+                                 "--methods", "besselpoly,recurrence", "--format", "csv"],
+    "sphere-ft-besselpoly-k201": ["sphere-ft", "--k", "201", "--t-grid", "0.25:3:0.25",
+                                  "--methods", "besselpoly"],
+    "sphere-ft-besselpoly-k5001": ["sphere-ft", "--k", "5001", "--t", "0.001",
+                                   "--methods", "besselpoly"],
+}
 
 
 def run_job(argv: list[str]) -> tuple[int, str, str]:
@@ -78,6 +125,8 @@ def main() -> int:
         for fmt in ("exact", "float", "json"):
             argv = ["coeffs", "--k", str(k), "--format", fmt]
             jobs[f"coeffs/k{k}/{fmt}"] = {"argv": argv, "sha256": digest(*run_job(argv))}
+    for name, argv in EDGE_CASES.items():
+        jobs[f"edge/{name}"] = {"argv": argv, "sha256": digest(*run_job(argv))}
     for workload in workloads.WORKLOADS:
         for seed in seeds:
             for index in lists:

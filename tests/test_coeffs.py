@@ -127,6 +127,24 @@ def test_bessel_poly_base_cases_and_recurrence():
         assert c[-1] == 1
 
 
+def _bessel_by_recurrence(n: int) -> tuple[int, ...]:
+    """theta_n by theta_m = (2m-1) theta_{m-1} + z^2 theta_{m-2}: the oracle."""
+    prev, cur = [1], [1, 1]
+    if n == 0:
+        return (1,)
+    for m in range(2, n + 1):
+        nxt = [(2 * m - 1) * c for c in cur] + [0] * (len(prev) + 2 - len(cur))
+        for i, c in enumerate(prev):
+            nxt[i + 2] += c
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+def test_bessel_poly_matches_the_three_term_recurrence():
+    for n in [*range(0, 40), 101, 256, 399]:
+        assert bessel_poly(n) == (n, _bessel_by_recurrence(n)), n
+
+
 def test_beta_bessel_crosscheck():
     for n in range(0, 9):
         assert beta_bessel_crosscheck(n), n

@@ -1,10 +1,12 @@
-"""Property-based checks of the algebra, of the shell-sum kernel and of the
-report serializer.
+"""Property-based checks of the algebra, of the shell-sum kernel, of the comb
+builders and of the report serializers.
 
 Random odd phi and arbitrary f are drawn from the GaussPoly algebra; the
 examples are derandomized so that every run checks the same cases.
 """
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -13,13 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guinand.cli import _to_json
-from guinand.coeffs import PI_50, PiScalar
+from guinand.atoms import (
+    Atom, make_comb, pair, point_measure, project_ft, project_measure, sigma_k, sigma_k_hat,
+)
+from guinand.cli import _fmt_float, _shell_csv, _to_json
+from guinand.coeffs import PI_50, PiScalar, alpha, betas, round_multiples
 from guinand.formulas import (
     lhs_general, rhs_general, shell_table, shifted_nodes, verify,
 )
 from guinand.schwartz import GaussPoly, parse
-from guinand.util import CompensatedSum
+from guinand.sumsq import rk_table
+from guinand.util import CompensatedSum, comp_sum
 
 settings.register_profile("guinand", max_examples=40, deadline=None,
                           derandomize=True, database=None)
@@ -203,6 +209,49 @@ def test_eval_matches_plain_horner(f, order, transform, t):
     assert _bits(twin.eval(-t)) == _bits(_plain_horner(twin, -t))
 
 
+# coefficients: real or imaginary with +0.0 or -0.0 in the other part, or
+# mixed; magnitudes from subnormal to 1e150
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]),
+                   st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True))
+ZERO = st.sampled_from([0.0, -0.0])
+COEFFS = st.one_of(st.builds(complex, SIGNED, ZERO), st.builds(complex, ZERO, SIGNED),
+                   st.builds(complex, SIGNED, SIGNED))
+
+
+@st.composite
+def signed_polys(draw):
+    """Float GaussPoly whose terms are each all real, all imaginary or mixed."""
+    terms = []
+    for a in draw(st.lists(st.sampled_from([1e-3, 0.5, 1.0, 2.0, 1e3]), max_size=3,
+                           unique=True)):
+        kind = draw(st.sampled_from(["real", "imag", "mixed"]))
+        part = {"real": st.builds(complex, SIGNED, ZERO),
+                "imag": st.builds(complex, ZERO, SIGNED), "mixed": COEFFS}[kind]
+        terms.append((a, draw(st.lists(part, min_size=1, max_size=5))))
+    return GaussPoly(terms)
+
+
+@given(st.one_of(signed_polys(), float_polys(), exact_polys()), st.integers(0, 2),
+       st.lists(EVAL_POINTS, max_size=8))
+def test_eval_many_matches_plain_horner(f, order, ts):
+    g = f.derivative(order)
+    assert [_bits(z) for z in g.eval_many(ts)] == [_bits(_plain_horner(g, t)) for t in ts]
+    assert [_bits(z) for z in g.eval_many(t for t in ts)] == [_bits(g.eval(t)) for t in ts]
+
+
+@pytest.mark.parametrize("f", [
+    GaussPoly(), GaussPoly([(1.0, [-0.0j, complex(0.0, -0.0), 1j])]),
+    GaussPoly([(1.0, [complex(-0.0, 2.0)]), (2.0, [3.0, -0.0])]),
+    # Horner values that overflow while t^2 stays finite
+    GaussPoly([(1e-300, [0.0, 1e300])]), GaussPoly([(2.0, [0.0, 0.0, complex(-0.0, 1e300)])]),
+])
+def test_eval_many_edge_values(f):
+    assert f.eval_many([]) == []
+    squares_finite = [0.0, -0.0, 1e-170, -1e-170, 5e-324, -5e-324, 30.0, -30.0, 1e100, -1e100]
+    for ts in (squares_finite, squares_finite + [1e200, -1e200, math.inf, -math.inf, math.nan]):
+        assert [_bits(z) for z in f.eval_many(ts)] == [_bits(_plain_horner(f, t)) for t in ts]
+
+
 def _neumaier(xs) -> float:
     s = c = 0.0
     for x in xs:
@@ -229,6 +278,105 @@ def test_compensated_sum_is_neumaier(values):
         acc.add(z)
     want = complex(_neumaier(z.real for z in values), _neumaier(z.imag for z in values))
     assert _bits(acc.total) == _bits(want)
+
+
+@given(st.lists(st.builds(complex, MIXED, MIXED), max_size=40))
+def test_comp_sum_is_neumaier(values):
+    want = complex(_neumaier(z.real for z in values), _neumaier(z.imag for z in values))
+    assert _bits(comp_sum(values)) == _bits(want)
+    assert _bits(comp_sum(iter(values))) == _bits(want)
+
+
+def _sigma_atoms(origin, shells):
+    # the atoms of sigma_comb in the order a per-shell loop makes them
+    atoms = [Atom(0.0, 1, -2 * origin, 0)] if origin != 0 else []
+    for nsq in sorted(shells):
+        v = math.sqrt(float(nsq))
+        atoms += [Atom(v, 0, shells[nsq] / v, nsq), Atom(-v, 0, -(shells[nsq] / v), nsq)]
+    return atoms
+
+
+def _sigma_hat_atoms(k, origin, pairs):
+    atoms = [Atom(0.0, k - 2, (2j * origin) * alpha(k).to_float(), 0)] if origin != 0 else []
+    for nsq, base_by_j in pairs:
+        v = math.sqrt(float(nsq))
+        for j, base in enumerate(base_by_j):
+            mag = base * v ** j / v ** (k - 2)
+            atoms += [Atom(v, j, (-1j) * (mag if j % 2 == 0 else -mag), nsq),
+                      Atom(-v, j, (1j) * mag, nsq)]
+    return atoms
+
+
+def _comb_bits(comb):
+    return [(a.location.hex(), a.order, _bits(a.weight), a.shell) for a in comb.atoms], comb.meta
+
+
+@pytest.mark.parametrize("k", range(3, 17, 2))
+def test_sigma_builders_match_make_comb(k):
+    N = 40
+    counts = rk_table(k, N).counts
+    shells = {n: complex(r) for n, r in enumerate(counts) if n and r}
+    want = make_comb(_sigma_atoms(1 + 0j, shells), k=k, N=N, parity="odd")
+    assert _comb_bits(sigma_k(k, N)) == _comb_bits(want)
+    ratios = [b.ratio() for b in betas(k)]
+    pairs = [(n, round_multiples(r, ratios)) for n, r in enumerate(counts) if n and r]
+    want = make_comb(_sigma_hat_atoms(k, 1 + 0j, pairs), k=k, N=N, parity="odd")
+    assert _comb_bits(sigma_k_hat(k, N)) == _comb_bits(want)
+
+
+# two points whose exact shells differ but round to one float location
+CLOSE = [((1, 0, 0), 1), ((Fraction(10 ** 20 + 1, 10 ** 20), 0, 0), 2)]
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def point_measures(draw):
+    k = draw(st.sampled_from([3, 5]))
+    entries = [(tuple(draw(FRACTIONS) for _ in range(k)),
+                draw(st.sampled_from([1, -1, 0.5, 1j, -2 + 1j])))
+               for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        entries += [(p + (0,) * (k - 3), w) for p, w in CLOSE]
+    return point_measure(k, entries)
+
+
+def _measure_shells(mu):
+    origin, shells = 0j, {}
+    for point, weight in mu.atoms:
+        nsq = sum(Fraction(x) ** 2 for x in point)
+        if nsq == 0:
+            origin += weight
+        else:
+            nsq = int(nsq) if nsq.denominator == 1 else nsq
+            shells[nsq] = shells.get(nsq, 0j) + weight
+    return origin, shells
+
+
+@given(point_measures())
+def test_projection_builders_match_make_comb(mu):
+    origin, shells = _measure_shells(mu)
+    want = make_comb(_sigma_atoms(origin, shells), k=mu.k, parity="odd")
+    assert _comb_bits(project_measure(mu)) == _comb_bits(want)
+    beta_floats = [b.to_float() for b in betas(mu.k)]
+    pairs = [(nsq, [shells[nsq] * bf for bf in beta_floats]) for nsq in sorted(shells)]
+    want = make_comb(_sigma_hat_atoms(mu.k, origin, pairs), k=mu.k, parity="odd")
+    assert _comb_bits(project_ft(mu, mu.k)) == _comb_bits(want)
+
+
+def test_close_shells_stay_apart():
+    comb = project_measure(point_measure(3, CLOSE))
+    assert [(a.location, a.shell) for a in comb.atoms] == [
+        (-1.0, 1), (-1.0, Fraction(10 ** 20 + 1, 10 ** 20) ** 2),
+        (1.0, 1), (1.0, Fraction(10 ** 20 + 1, 10 ** 20) ** 2)]
+
+
+@given(point_measures(), odd_phis())
+def test_pair_matches_a_loop_over_the_atoms(mu, phi):
+    for comb in (project_measure(mu), project_ft(mu, mu.k), sigma_k_hat(mu.k, 12)):
+        derivs = phi.derivatives(comb.max_order)
+        want = comp_sum(a.weight * (-1) ** a.order * derivs[a.order].eval(a.location)
+                        for a in comb.atoms)
+        assert _bits(pair(comb, phi)) == _bits(want)
 
 
 def _chain_to_json(obj) -> str:
@@ -294,3 +442,37 @@ def test_to_json_matches_isinstance_chain(obj):
 def test_to_json_refuses(obj, error):
     with pytest.raises(error):
         _to_json(obj)
+
+
+def _csv_reference(rows) -> str:
+    """``verify --format csv`` through csv.writer and ``_fmt_float``."""
+    columns = ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["n", "r_k"] + [f"{col}_{part}" for col in columns for part in ("re", "im")]]
+        + [[row["n"], row["r_k"]] + [_fmt_float(x) for col in columns
+                                     for x in (row[col].real, row[col].imag)]
+           for row in rows])
+    return buf.getvalue()
+
+
+SHELL_ROWS = st.lists(st.fixed_dictionaries({
+    "n": st.integers(0, 10 ** 6), "r_k": st.integers(0, 10 ** 30),
+    **{col: st.builds(complex, FINITE, FINITE)
+       for col in ("lhs_term", "rhs_term", "lhs_partial", "rhs_partial")}}), max_size=6)
+
+
+@settings(max_examples=200)
+@given(SHELL_ROWS)
+def test_shell_csv_matches_csv_writer(rows):
+    assert _shell_csv(rows) == _csv_reference(rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shell_csv_refuses_the_first_non_finite_value(bad):
+    row = {"n": 1, "r_k": 6, "lhs_term": complex(1.0, 2.0), "rhs_term": complex(-0.0, bad),
+           "lhs_partial": complex(1e308, 1e308), "rhs_partial": complex(-math.inf, 0.0)}
+    big = dict(row, rhs_term=complex(1e308, 1e308), rhs_partial=complex(1e308, 1e308))
+    assert _shell_csv([big]) == _csv_reference([big])  # the values' sum overflows
+    with pytest.raises(ValueError, match=f"^non-finite value {bad} in report$"):
+        _shell_csv([big, row])
