@@ -31,7 +31,7 @@ never by float equality.  The canonical order of a comb is ascending
 (location, order): ``make_comb`` sorts into it, and the builders emit it
 directly unless two shells round to one float location.  Pairing
 accumulates in that order with compensated summation, which makes results
-reproducible.
+reproducible; the derivative orders may be evaluated in any order.
 """
 
 from __future__ import annotations
@@ -111,15 +111,14 @@ def make_comb(atoms, **meta) -> AtomComb:
 def pair(comb: AtomComb, f: GaussPoly) -> complex:
     """<comb, f> = sum of weight * (-1)^order * f^(order)(location).
 
-    One ``eval_many`` call per derivative order, the last atom's order last
-    (for the errno, see ``formulas._lhs_terms``); summation runs in the
+    One ``eval_many`` call per derivative order; summation runs in the
     comb's canonical order with compensated accumulation.
     """
     derivs = f.derivatives(comb.max_order)
     atoms = comb.atoms
     orders = [a.order for a in atoms]
     values = {}
-    for order in sorted(set(orders), key=lambda o: o == orders[-1]):
+    for order in set(orders):
         values[order] = iter(derivs[order].eval_many([a.location for a in atoms
                                                       if a.order == order]))
     return comp_sum([a.weight * (-1) ** o * next(values[o]) for a, o in zip(atoms, orders)])

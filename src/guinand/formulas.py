@@ -49,7 +49,8 @@ remainder certificate once the stepwise ratio bound drops below one (within
 _TAIL_STEPS steps, else WorkCapExceeded is raised); the lattice tails of the
 shifted case run the same way over radius bands.  The right-hand tails use
 the envelope of Q, so the beta_j pieces that cancel in it are never bounded
-one by one.  Bounds below 1e-300 are clamped to zero.
+one by one.  Bounds below 1e-300 are clamped to zero.  |lhs - rhs| is
+``util.modulus``: NaN for a sum that is not finite, in any evaluation order.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .errors import WorkCapExceeded
 from .radial import _beta_quotient
 from .schwartz import GaussPoly
 from .sumsq import DEFAULT_TABLE_CAP, rk_table
-from .util import CompensatedSum, comp_sum, rel_diff
+from .util import CompensatedSum, comp_sum, modulus, rel_diff
 
 __all__ = [
     "VerificationReport", "lhs_general", "rhs_general", "verify",
@@ -110,17 +111,11 @@ def _require_odd_phi(phi: GaussPoly, name: str = "phi") -> None:
 def _lhs_terms(phi: GaussPoly, origin, shells, den: int) -> list[tuple]:
     """(shell, weight, term) for the left-hand series: (0, origin, origin
     phi'(0)), then w/v phi(v), v = sqrt(shell/den), for each of the ascending
-    (shell, w) pairs with shell and w nonzero.
-
-    Both builders end, as a loop over the nodes would, on the last node's
-    math.exp (origin term and divisions first): the errno it leaves decides
-    whether a later abs() of a complex with a NaN part raises."""
-    origin_term = origin * phi.derivative().eval(0.0)
+    (shell, w) pairs with shell and w nonzero."""
     shells = [(n, w) for n, w in shells if n and w]
     nodes = [math.sqrt(n / den) for n, _ in shells]
-    scaled = [w / v for (_, w), v in zip(shells, nodes)]
-    return [(0, origin, origin_term)] + [
-        (n, w, c * y) for (n, w), c, y in zip(shells, scaled, phi.eval_many(nodes))]
+    return [(0, origin, origin * phi.derivative().eval(0.0))] + [
+        (n, w, w / v * y) for (n, w), v, y in zip(shells, nodes, phi.eval_many(nodes))]
 
 
 def _rhs_terms(k: int, psi: GaussPoly, q: GaussPoly, origin, shells, den: int) -> list[tuple]:
@@ -151,25 +146,23 @@ def rhs_general(k: int, psi: GaussPoly, N: int) -> complex:
 
 
 def _rhs_explicit_k3(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
-    # i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n), in the order of _lhs_terms
+    # i psi'(0) + i sum r_3(n)/sqrt(n) psi(sqrt n)
     shells = [(n, r) for n, r in enumerate(rk_table(3, N, table_cap=table_cap).counts)
               if n and r]
-    origin_term = 1j * psi.derivative().eval(0.0)
     roots = [math.sqrt(n) for n, _ in shells]
-    scaled = [1j * r / s for (_, r), s in zip(shells, roots)]
-    return comp_sum([origin_term] + [c * y for c, y in zip(scaled, psi.eval_many(roots))])
+    values = zip(shells, roots, psi.eval_many(roots))
+    return comp_sum([1j * psi.derivative().eval(0.0)] + [1j * r / s * y for (_, r), s, y in values])
 
 
 def _rhs_explicit_k5(psi: GaussPoly, N: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> complex:
     # -i/(6 pi) psi'''(0) + i/(2 pi) sum r_5(n)/n^(3/2) [psi(sqrt n) - sqrt(n) psi'(sqrt n)]
     shells = [(n, r) for n, r in enumerate(rk_table(5, N, table_cap=table_cap).counts)
               if n and r]
-    dpsi = psi.derivative()
     origin_term = -1j / (6.0 * math.pi) * psi.derivative(3).eval(0.0)
     roots = [math.sqrt(n) for n, _ in shells]
-    scaled = [1j / (2.0 * math.pi) * r / s ** 3 for (_, r), s in zip(shells, roots)]
-    values = zip(roots, psi.eval_many(roots), dpsi.eval_many(roots))
-    return comp_sum([origin_term] + [c * (y - s * dy) for c, (s, y, dy) in zip(scaled, values)])
+    values = zip(shells, roots, psi.eval_many(roots), psi.derivative().eval_many(roots))
+    return comp_sum([origin_term] + [1j / (2.0 * math.pi) * r / s ** 3 * (y - s * dy)
+                                     for (_, r), s, y, dy in values])
 
 
 def _shell_rows(lhs_terms, rhs_terms) -> list[dict]:
@@ -216,7 +209,7 @@ def _verify(k: int, phi: GaussPoly, N: int, *, shell_rows: bool = False,
         k=k,
         lhs=lhs,
         rhs=rhs,
-        abs_residual=abs(lhs - rhs),
+        abs_residual=modulus(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=tail_bound(k, phi, N),
         tail_bound_rhs=_sqrtn_tail(k, q.envelope(0), N),
@@ -416,7 +409,7 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
         k=k,
         lhs=lhs,
         rhs=rhs,
-        abs_residual=abs(lhs - rhs),
+        abs_residual=modulus(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=_radius_tail(k, phi.envelope(-1), R_time),
         tail_bound_rhs=_radius_tail(k, q.envelope(0), R_freq),

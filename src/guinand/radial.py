@@ -75,6 +75,7 @@ from .coeffs import (
 )
 from .errors import QuadratureError
 from .schwartz import GaussPoly
+from .util import modulus
 
 __all__ = [
     "SphereFTValue", "radial_transform", "radial_ft_closed", "radial_ft_zero",
@@ -486,7 +487,7 @@ def _divide_out_power(terms, sizes: dict | None, power: int) -> list:
             if sizes is None:
                 ok = c == 0
             else:
-                ok = abs(c) <= _DROP_TOL * (size[i] if i < len(size) else 0.0)
+                ok = modulus(c) <= _DROP_TOL * (size[i] if i < len(size) else 0.0)
             if not ok:
                 raise ValueError(
                     f"coefficient of u^{i} on Gaussian scale {a} is {c}: the "
@@ -512,7 +513,7 @@ def _beta_quotient(d: GaussPoly, k: int) -> GaussPoly:
                 term = beta * c
                 row[i] += term
                 if size is not None and i < k - 1:
-                    size[i] += abs(term)
+                    size[i] += modulus(term)
     return GaussPoly(_divide_out_power(rows.items(), sizes, k - 1), exact=exact)
 
 
@@ -584,14 +585,14 @@ def _gk15(fn, a: float, b: float):
             fk += _GK_WK[i] * v
             if i % 2 == 1:
                 fg += _GK_WG[i // 2] * v
-    return fk * half, abs((fk - fg) * half)
+    return fk * half, modulus((fk - fg) * half)
 
 
 def _gaussian_cutoff(f: GaussPoly, k: int, bound: float) -> float:
     """R with integral_R^inf |f|(r) r^(k-1) dr * (sphere area cap) < bound.
 
     Uses integral_R^inf r^p e^(-pi a r^2) dr <= R^p e^(-pi a R^2)/(2 pi a R)
-    for R past the integrand's peak.
+    for R past the integrand's peak; QuadratureError if the tail is not finite.
     """
     area_cap = sphere_area(k).to_float() if k >= 3 else 2.0
     pieces = f.envelope(k - 1)
@@ -605,6 +606,8 @@ def _gaussian_cutoff(f: GaussPoly, k: int, bound: float) -> float:
                    for c, p, a in pieces) * area_cap
         if tail < bound:
             return R
+        if not math.isfinite(tail):
+            raise QuadratureError(f"cutoff tail bound {tail} at R = {R} is not finite")
         R *= 1.25
 
 
@@ -680,4 +683,4 @@ def bk_recurrence_check(f: GaussPoly, k: int, t: float) -> float:
     t2f = f.mul_poly([0, 0, 1])
     rhs = (k - 4) / (2.0 * math.pi * t * t) * b_op(f, k - 2, t) \
         - b_op(t2f, k - 4, t) / (t * t)
-    return abs(lhs - rhs)
+    return modulus(lhs - rhs)

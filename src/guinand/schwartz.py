@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 from .coeffs import PI_50, PiScalar
 from .errors import ParseError
+from .util import Frozen, modulus
 
 __all__ = [
     "GaussPoly", "PiScalar", "ParsedExpr", "gauss_term", "zero", "parse",
@@ -63,7 +64,7 @@ def _rat_sqrt(fr: Fraction):
 # the function algebra
 # --------------------------------------------------------------------------
 
-class GaussPoly:
+class GaussPoly(Frozen):
     """Immutable sum of terms p(t) * exp(-pi * a * t^2) with distinct a > 0.
 
     ``terms`` and ``exact`` are the value; ``==`` and ``hash`` read only
@@ -104,9 +105,6 @@ class GaussPoly:
         object.__setattr__(self, "terms", tuple(out))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_plan", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaussPoly is immutable")
 
     # ---- basic structure -------------------------------------------------
 
@@ -321,7 +319,7 @@ class GaussPoly:
         floats: |f(t)| |t|^shift <= sum |c_m| |t|^(m+shift) exp(-pi a t^2)."""
         return [(c, m + shift, float(a))
                 for a, coeffs in self.terms
-                for m, c in enumerate(abs(complex(x)) for x in coeffs) if c]
+                for m, c in enumerate(modulus(complex(x)) for x in coeffs) if c]
 
     # ---- formatting --------------------------------------------------------
 

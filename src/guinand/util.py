@@ -1,5 +1,5 @@
-"""Small helpers: the package's one summation primitive, a relative
-difference, and the base of its immutable __slots__ classes.
+"""Small helpers: the one summation primitive, the one modulus of a complex,
+a relative difference, and the base of the immutable __slots__ classes.
 
 Every term of every series passes through ``comp_sum`` or, where the
 running partials are wanted too, ``CompensatedSum.add``; both write the
@@ -12,9 +12,9 @@ import math
 
 
 class Frozen:
-    """Base of the immutable __slots__ classes: ``__init__`` sets each slot
-    once with object.__setattr__; assigning or deleting one raises
-    AttributeError.  The repr lists the slots as keyword arguments."""
+    """Base of the immutable __slots__ classes: they set their slots with
+    object.__setattr__; assigning or deleting one raises AttributeError.
+    The default repr lists the slots as keyword arguments."""
 
     __slots__ = ()
 
@@ -91,22 +91,30 @@ def comp_sum(values) -> complex:
     return complex(sr + cr, si + ci)
 
 
-def rel_diff(a: complex, b: complex, floor: float = 1e-300) -> float:
-    """|a-b| relative to max(|a|, |b|, floor); NaN when a or b is not finite.
-
-    The ratio is at most 2, unless a modulus or a - b overflows.  (``abs``
-    of a complex raises OverflowError then, and also for a NaN part when an
-    earlier libm call left errno set.)  In that case finite a and b are
-    scaled by a power of two, exactly, so that every modulus fits."""
+def modulus(z) -> float:
+    """|z| of any number, NaN for a NaN part and inf past the float range.
+    ``abs`` of a complex with a NaN part raises OverflowError whenever the
+    last libm call left errno set; the NaN test here comes first."""
+    if z != z:
+        return math.nan
     try:
-        rel = abs(a - b) / max(abs(a), abs(b), floor)
+        return abs(z)
     except OverflowError:
-        rel = math.inf
-    if rel != math.inf:
+        return math.inf
+
+
+def rel_diff(a: complex, b: complex) -> float:
+    """|a-b| relative to max(|a|, |b|, 1e-300); NaN when a or b is not finite.
+
+    The ratio is at most 2, unless a modulus or a - b overflows.  In that
+    case finite a and b are scaled by a power of two, exactly, so that every
+    modulus fits."""
+    rel = modulus(a - b) / max(modulus(a), modulus(b), 1e-300)
+    if math.isfinite(rel):
         return rel
     parts = (a.real, a.imag, b.real, b.imag)
     if not all(map(math.isfinite, parts)):
         return math.nan
     scale = math.ldexp(1.0, -math.frexp(max(map(abs, parts)))[1])
     a, b = a * scale, b * scale
-    return abs(a - b) / max(abs(a), abs(b), floor * scale)
+    return abs(a - b) / max(abs(a), abs(b), 1e-300 * scale)

@@ -18,8 +18,9 @@ and so is ``coeffs --k K --format F`` for every odd K from 3 to 61 and each
 format, under ``coeffs/k<K>/<F>`` keys (no benchmark job runs ``coeffs``).
 The fixed lines of ``EDGE_CASES`` go in under ``edge/<name>`` keys: they
 reach the signs of zero and the overflows that the benchmark's test
-functions, all with positive real coefficients, never produce, and the
-Bessel-polynomial route of ``sphere-ft`` at large k.
+functions, all with positive real coefficients, never produce, the
+quadrature cutoffs of such overflows, and the Bessel-polynomial route of
+``sphere-ft`` at large k.
 To compare with a checkout that lacks this script or that file, copy both in.
 
 The file is not collected by pytest (its name does not start with test_).
@@ -77,6 +78,12 @@ EDGE_CASES = {
     "verify-shifted-mixed": ["verify-shifted", "--k", "5", "--eta", "1/3,0,0,0,1/2",
                              "--xi", "1/2,0,0,0,0", "--phi", f"(2-i)*t*{_G}",
                              "--r-time", "3", "--r-freq", "3"],
+    # quadrature cutoffs whose tail bound is not finite: 1e308 R^2 overflows,
+    # and 1e308*10 - 1e308*10 is a NaN coefficient
+    "radial-ft-quadrature-overflow": ["radial-ft", "--k", "3", "--f", "1e308*exp(-pi*t^2/1000)",
+                                      "--t", "1", "--methods", "quadrature"],
+    "radial-ft-quadrature-nan": ["radial-ft", "--k", "3", "--f", f"(1e308*10-1e308*10)*{_G}",
+                                 "--t", "1", "--methods", "quadrature"],
     # the Bessel-polynomial route at large k (theta_n has n + 1 coefficients)
     "sphere-ft-besselpoly-k61": ["sphere-ft", "--k", "61", "--t-grid", "0.1:12:0.7",
                                  "--methods", "besselpoly,recurrence", "--format", "csv"],

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, determinism, formats, work caps."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -443,3 +444,30 @@ def test_uncertified_tail_exits_1(argv, capsys):
     assert code == 1
     assert out == ""
     assert "no tail certificate" in err
+
+
+# sums that become NaN: the report must refuse them the same way whatever the
+# errno left by the last libm call before the run (an underflowing exp sets it)
+NAN_SUMS = [
+    ["verify", "--k", "7", "--phi", "1e300*t^5*exp(-pi*t^2)", "--nmax", "2100"],
+    ["verify", "--k", "7", "--phi", "1e300*t^5*exp(-pi*t^2)", "--nmax", "2100",
+     "--format", "csv"],
+    ["duality", "--k", "7", "--phi", "1e300*t^5*exp(-pi*t^2)", "--nmax", "2100"],
+]
+
+
+@pytest.mark.parametrize("argv", NAN_SUMS, ids=["verify", "verify-csv", "duality"])
+def test_nan_sums_exit_1_whatever_errno_holds(argv, capsys):
+    for x in (-1e4, 0.0):
+        math.exp(x)
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", "error: non-finite value nan in report\n")
+
+
+@pytest.mark.parametrize("f", ["1e308*exp(-pi*t^2/1000)", "(1e308*10-1e308*10)*exp(-pi*t^2)"],
+                         ids=["overflow", "nan"])
+def test_quadrature_cutoff_beyond_the_float_range_exits_1(f, capsys):
+    code, out, err = run(["radial-ft", "--k", "3", "--f", f, "--t", "1",
+                          "--methods", "quadrature"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cutoff tail bound ") and err.endswith(" is not finite\n")

@@ -244,3 +244,12 @@ def test_roundtrip_through_text():
         f = _rand_poly(rng)
         again = parse(f.to_expr()).value
         assert again == f, f.to_expr()
+
+
+def test_gausspoly_slots_cannot_be_assigned_or_deleted():
+    f = parse("t*exp(-pi*t^2)").value
+    with pytest.raises(AttributeError):
+        f.terms = ()
+    with pytest.raises(AttributeError):
+        del f.terms
+    assert f.terms == ((1.0, (0j, 1 + 0j)),)
