@@ -47,9 +47,9 @@ discarded shells are dominated by r_k(n) <= (2 sqrt(n) + 1)^k times the
 term's explicit polynomial-times-Gaussian envelope, summed with a geometric
 remainder certificate once the stepwise ratio bound drops below one (within
 _TAIL_STEPS steps, else WorkCapExceeded is raised); the lattice tails of the
-shifted case run the same way over radius bands.  The right-hand tails use
-the envelope of Q, so the beta_j pieces that cancel in it are never bounded
-one by one.  Bounds below 1e-300 are clamped to zero.  |lhs - rhs| is
+shifted case run the same loop, ``_geometric_tail``, over radius bands.  The
+right-hand tails use the envelope of Q, so the beta_j pieces that cancel in
+it are never bounded one by one.  Bounds below 1e-300 are clamped to zero.  |lhs - rhs| is
 ``util.modulus``: NaN for a sum that is not finite, in any evaluation order.
 """
 
@@ -237,8 +237,32 @@ def shell_table(k: int, phi: GaussPoly, N: int) -> list[dict]:
 
 
 # --------------------------------------------------------------------------
-# tail certificates for the sqrt(n)-node series
+# tail certificates
 # --------------------------------------------------------------------------
+
+def _geometric_tail(pieces, step, where) -> float:
+    """Sum over envelope pieces (C, p, a) of g, for (g, ratio) = step(C, p, a, j)
+    and j = 0, 1, ...: C = 0 adds nothing, g = 0 ends the piece, and at the
+    first ratio (a bound on each later step) below 1 the rest is g / (1 - ratio).
+    No end within _TAIL_STEPS terms raises WorkCapExceeded, naming where()."""
+    total = 0.0
+    for C, p, a in pieces:
+        if C == 0.0:
+            continue
+        sub = 0.0
+        for j in range(_TAIL_STEPS):
+            g, ratio = step(C, p, a, j)
+            if g == 0.0:
+                break
+            if ratio < 1.0:
+                sub += g / (1.0 - ratio)
+                break
+            sub += g
+        else:
+            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} {where()}")
+        total += sub
+    return 0.0 if total < 1e-300 else total
+
 
 def _sqrtn_tail(k: int, pieces, N: int) -> float:
     """Certified bound on sum_{n>N} (2 sqrt(n)+1)^k * n^(p/2) * C * e^(-pi a n)
@@ -249,28 +273,15 @@ def _sqrtn_tail(k: int, pieces, N: int) -> float:
     * e^(-pi a); once that bound drops below 1 the remainder is dominated by
     a geometric series.
     """
-    total = 0.0
-    for C, p, a in pieces:
-        if C == 0.0:
-            continue
-        n = N + 1
-        sub = 0.0
-        for _ in range(_TAIL_STEPS):
-            g = C * (2.0 * math.sqrt(n) + 1.0) ** k \
-                * math.pow(n, p / 2.0) * math.exp(-math.pi * a * n)
-            if g == 0.0:
-                break
-            ratio = ((2.0 * math.sqrt(n + 1) + 1.0) / (2.0 * math.sqrt(n) + 1.0)) ** k \
-                * ((n + 1.0) / n) ** (max(p, 0) / 2.0) * math.exp(-math.pi * a)
-            if ratio < 1.0:
-                sub += g / (1.0 - ratio)
-                break
-            sub += g
-            n += 1
-        else:
-            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} shells past N={N}")
-        total += sub
-    return 0.0 if total < 1e-300 else total
+    def step(C, p, a, j):
+        n = N + 1 + j
+        g = C * (2.0 * math.sqrt(n) + 1.0) ** k * math.pow(n, p / 2.0) * math.exp(-math.pi * a * n)
+        if g == 0.0:
+            return g, math.inf
+        return g, ((2.0 * math.sqrt(n + 1) + 1.0) / (2.0 * math.sqrt(n) + 1.0)) ** k \
+            * ((n + 1.0) / n) ** (max(p, 0) / 2.0) * math.exp(-math.pi * a)
+
+    return _geometric_tail(pieces, step, lambda: f"shells past N={N}")
 
 
 def tail_bound(k: int, f: GaussPoly, N: int) -> float:
@@ -289,7 +300,7 @@ def _check_shift(k, v) -> tuple[tuple[int, ...], int]:
     v = tuple(Fraction(x) for x in v)
     if len(v) != k:
         raise ValueError(f"shift vector must have length {k}")
-    if all(abs(float(x) - round(float(x))) < 1e-12 for x in v):
+    if all(abs(x - round(x)) < Fraction(1, 10 ** 12) for x in v):
         raise ValueError("shift vector must lie outside Z^k "
                          "(all components are within 1e-12 of integers)")
     D = math.lcm(*(x.denominator for x in v))
@@ -429,30 +440,16 @@ def _radius_tail(k: int, pieces, R: float) -> float:
     edge its sign makes larger).  Terms drop like e^(-pi a (2u+1)) once past
     the peak, so a geometric certificate finishes the sum.
     """
-    total = 0.0
-    for C, p, a in pieces:
-        if C == 0.0:
-            continue
+    def step(C, p, a, j):
+        lo = R + j
         peak = math.sqrt(max(p, 0) / (2.0 * math.pi * a)) if p > 0 else 0.0
-        sub = 0.0
-        for j in range(_TAIL_STEPS):
-            lo = R + j
-            count = (2.0 * lo + 5.0) ** k
-            w = lo ** p if p < 0 else (lo + 1.0) ** p
-            env_at = max(lo, peak)
-            g = 2.0 * C * count * w * math.exp(-math.pi * a * env_at * env_at)
-            if g == 0.0:
-                break
-            if lo > peak:
-                ratio = ((2.0 * lo + 7.0) / (2.0 * lo + 5.0)) ** k \
-                    * ((lo + 2.0) / (lo + 1.0)) ** max(p, 0) \
-                    * math.exp(-math.pi * a * (2.0 * lo + 1.0))
-                if ratio < 1.0:
-                    sub += g / (1.0 - ratio)
-                    break
-            sub += g
-        else:
-            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} bands past R={R:g}")
-        total += sub
-    return 0.0 if total < 1e-300 else total
+        env_at = max(lo, peak)
+        g = 2.0 * C * (2.0 * lo + 5.0) ** k * (lo ** p if p < 0 else (lo + 1.0) ** p) \
+            * math.exp(-math.pi * a * env_at * env_at)
+        if g == 0.0 or not lo > peak:
+            return g, math.inf
+        return g, ((2.0 * lo + 7.0) / (2.0 * lo + 5.0)) ** k \
+            * ((lo + 2.0) / (lo + 1.0)) ** max(p, 0) * math.exp(-math.pi * a * (2.0 * lo + 1.0))
+
+    return _geometric_tail(pieces, step, lambda: f"bands past R={R:g}")
 

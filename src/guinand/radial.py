@@ -66,7 +66,6 @@ import cmath
 import functools
 import heapq
 import math
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -74,7 +73,7 @@ from .coeffs import (
     PI_50, PiScalar, _check_odd_k, alpha, bessel_poly, betas, double_factorial, split_term,
 )
 from .errors import QuadratureError
-from .schwartz import GaussPoly
+from .schwartz import GaussPoly, _add_terms, _divide_out_power
 from .util import modulus
 
 __all__ = [
@@ -464,57 +463,24 @@ def _sphere_profile_stable(k: int, u: float) -> float:
 # radial transform
 # --------------------------------------------------------------------------
 
-# Float mode: a dropped low coefficient of the derivative sum must be below
-# this multiple of the sum of the magnitudes of the contributions that
-# cancelled in it.  The largest ratio seen was 1.2 eps, over sums of up to
-# three Gaussians with scales 1/100..100 and degree <= 10, for k <= 31.
-_DROP_TOL = 1024 * sys.float_info.epsilon
-
-
-def _divide_out_power(terms, sizes: dict | None, power: int) -> list:
-    """[(a, coeffs / u^power)] for (a, coeffs) pairs whose polynomials are
-    divisible by u^power: the low ``power`` coefficients are dropped.
-
-    With ``sizes`` None (exact mode) they must be zero.  Otherwise each must
-    be at most _DROP_TOL times the matching entry of ``sizes[a]``, the sum
-    of the magnitudes of the terms that cancelled in it, i.e. cancellation
-    noise.  Anything else raises ValueError.
-    """
-    out = []
-    for a, coeffs in terms:
-        size = sizes.get(a, ()) if sizes is not None else ()
-        for i, c in enumerate(coeffs[:power]):
-            if sizes is None:
-                ok = c == 0
-            else:
-                ok = modulus(c) <= _DROP_TOL * (size[i] if i < len(size) else 0.0)
-            if not ok:
-                raise ValueError(
-                    f"coefficient of u^{i} on Gaussian scale {a} is {c}: the "
-                    f"polynomial is not divisible by u^{power}")
-        out.append((a, coeffs[power:]))
-    return out
-
-
 def _beta_quotient(d: GaussPoly, k: int) -> GaussPoly:
-    """sum_j beta_jk u^(j+1) d^(j)(u) / u^(k-1), j = 0..(k-3)/2, summed on plain
-    coefficient lists per Gaussian scale; u^(k-1) must divide the sum
+    """sum_j beta_jk u^(j+1) d^(j)(u) / u^(k-1), j = 0..(k-3)/2, its rows summed
+    per Gaussian scale by ``_add_terms``; u^(k-1) must divide the sum
     (``_divide_out_power`` checks the dropped coefficients)."""
     exact = d.exact
     coefs = betas(k) if exact else _beta_floats(k)
-    rows: dict = {}
-    sizes: dict | None = None if exact else {}
+    rows, sizes = [], []
     for j, (beta, dj) in enumerate(zip(coefs, d.derivatives(len(coefs) - 1))):
+        pad = [0] * (j + 1)
         for b, coeffs in dj.terms:
-            row = rows.setdefault(b, [])
-            row.extend([0] * (len(coeffs) + j + 1 - len(row)))
-            size = sizes.setdefault(b, [0.0] * (k - 1)) if sizes is not None else None
-            for i, c in enumerate(coeffs, j + 1):
-                term = beta * c
-                row[i] += term
-                if size is not None and i < k - 1:
-                    size[i] += modulus(term)
-    return GaussPoly(_divide_out_power(rows.items(), sizes, k - 1), exact=exact)
+            terms = [beta * c for c in coeffs]
+            rows.append((b, pad + terms))
+            if not exact:
+                sizes.append((b, pad + [modulus(x) for x in terms[:k - 2 - j]]))
+    out = _divide_out_power(_add_terms(rows).items(), None if exact else _add_terms(sizes),
+                            k - 1)
+    # every float sum starts at +0, as a sum of -0.0 terms would stay -0.0
+    return GaussPoly(out if exact else [(b, [0 + c for c in cs]) for b, cs in out], exact=exact)
 
 
 def radial_transform(f: GaussPoly, k: int) -> GaussPoly:

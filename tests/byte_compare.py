@@ -19,8 +19,10 @@ format, under ``coeffs/k<K>/<F>`` keys (no benchmark job runs ``coeffs``).
 The fixed lines of ``EDGE_CASES`` go in under ``edge/<name>`` keys: they
 reach the signs of zero and the overflows that the benchmark's test
 functions, all with positive real coefficients, never produce, the
-quadrature cutoffs of such overflows, and the Bessel-polynomial route of
-``sphere-ft`` at large k.
+quadrature cutoffs of such overflows, the Bessel-polynomial route of
+``sphere-ft`` at large k, and the paths of the coefficient algebra (colliding
+scales, longer right operands, division by i, nested minus, /pi scales) that
+no benchmark test function takes.
 To compare with a checkout that lacks this script or that file, copy both in.
 
 The file is not collected by pytest (its name does not start with test_).
@@ -91,6 +93,26 @@ EDGE_CASES = {
                                   "--methods", "besselpoly"],
     "sphere-ft-besselpoly-k5001": ["sphere-ft", "--k", "5001", "--t", "0.001",
                                    "--methods", "besselpoly"],
+    # the coefficient algebra where no benchmark phi goes: products whose
+    # scales collide (1 + 2 = 2 + 1), a difference whose right operand is the
+    # longer one and ends in i, division by i, nested unary minus, /pi scales
+    "verify-colliding-product": ["verify", "--k", "5", "--phi",
+                                 f"(t*{_G} + t^3*exp(-pi*2*t^2))*(exp(-pi*2*t^2) - 2*{_G})",
+                                 "--nmax", "300"],
+    "radial-ft-colliding-product": ["radial-ft", "--k", "7", "--f",
+                                    f"({_G} + t^2*exp(-pi*2*t^2))*(exp(-pi*2*t^2) + i*{_G})",
+                                    "--t-grid", "0.1:3:0.3"],
+    "verify-longer-imaginary-difference": ["verify", "--k", "7", "--phi",
+                                           f"t*{_G} - (t^3 - 2*t + i*t^5)*{_G}",
+                                           "--nmax", "300"],
+    "verify-divided-by-i": ["verify", "--k", "3", "--phi", f"t*{_G}/i + t^3*{_H}/(2*i)",
+                            "--nmax", "200"],
+    "duality-nested-minus": ["duality", "--k", "5", "--phi", f"-(-(-t))*{_G} - -t^3*{_H}",
+                             "--nmax", "200"],
+    "verify-scale-over-pi": ["verify", "--k", "5", "--phi",
+                             "t*exp(-t^2/pi) + t^3*exp(-pi*t^2/pi)", "--nmax", "300"],
+    "radial-ft-scale-over-pi": ["radial-ft", "--k", "5", "--f",
+                                "exp(-t^2/pi) - -t^2*exp(-2*t^2/pi)", "--t", "0.7"],
 }
 
 

@@ -133,6 +133,20 @@ def test_float_overflow_exits_1_with_a_message(argv, message, capsys):
     assert err.startswith(message) and err.count("\n") == 1, err
 
 
+# shift components beyond the float range are tested for Z^k exactly
+@pytest.mark.parametrize("eta,xi", [("1e400,0,0", "0,1/3,0"), ("1/2,0,0", "0,1e400,1/3"),
+                                    ("1e400,1/2,0", "0,1/3,0")])
+def test_verify_shifted_takes_huge_shift_components(eta, xi, capsys):
+    code, out, err = run(["verify-shifted", "--k", "3", "--eta", eta, "--xi", xi,
+                          "--phi", "t*exp(-pi*t^2)"], capsys)
+    if eta == "1e400,0,0":
+        assert (code, out) == (1, "")
+        assert err.startswith("error: shift vector must lie outside Z^k"), err
+    else:
+        assert code == 0, err
+        assert json.loads(out)["rel_residual"] < 1e-14
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys, guinand.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")

@@ -88,6 +88,22 @@ def test_to_expr_parses_back(f):
     assert parse(f.to_expr()).value == f
 
 
+@given(exact_polys())
+def test_transform_of_derivative_is_2_pi_i_xi_times_transform(f):
+    two_pi_i = PiScalar({1: (0, 2)})
+    assert f.derivative().fourier() == f.fourier().mul_poly([0, two_pi_i])
+
+
+@given(float_polys(), float_polys())
+def test_parsed_sum_is_the_sum(f, g):
+    assert parse(f"({f.to_expr()})+({g.to_expr()})").value == f + g
+
+
+@given(float_polys())
+def test_parsed_product_by_t_squared_is_mul_poly(f):
+    assert parse(f"({f.to_expr()})*t^2").value == f.mul_poly([0, 0, 1])
+
+
 @given(float_polys(), st.floats(min_value=1e-3, max_value=10.0), st.booleans(),
        st.sampled_from([-1, 0, 2]))
 def test_envelope_bounds_the_function(f, u, negative, shift):

@@ -210,6 +210,14 @@ def test_parse_rejects_numbers_beyond_the_float_range():
     assert parse("1e-400*t*exp(-pi*t^2)").value.is_zero  # underflow to 0 is fine
 
 
+def test_parse_rejects_gaussian_scales_below_the_float_range():
+    # a scale that rounds to 0.0 is refused at its exp, not taken for a polynomial
+    for src in ("t*exp(-pi*1e-400*t^2)", "t*exp(-1e-400*t^2/pi)"):
+        with pytest.raises(ParseError, match="Gaussian scale is below the float range") as info:
+            parse(src)
+        assert info.value.offset == 2
+
+
 def test_parse_zero_is_fine():
     assert parse("0").value.is_zero
     assert parse("0*t*exp(-pi*t^2)").value.is_zero
