@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import atoms, coeffs, formulas, radial, sumsq
 from .errors import ParseError, QuadratureError, WorkCapExceeded
-from .schwartz import GaussPoly, parse
+from .schwartz import _MAX_EXPONENT, GaussPoly, _huge_exponent, parse
 from .util import modulus, rel_diff
 
 DEFAULT_GRID_CAP = 10 ** 6  # points of a --t-grid
@@ -69,10 +69,7 @@ def _json_dict(obj: dict, prefixes: dict | None = None) -> str:
             prefix = _json_str(str(key)) + ": "
             if type(key) is str:
                 prefixes[key] = prefix
-        writer = _JSON_WRITERS.get(type(val))
-        if writer is None:
-            raise TypeError(f"cannot serialize {type(val)!r}")
-        parts.append(prefix + writer(val))
+        parts.append(prefix + _to_json(val))
     return "{" + ", ".join(parts) + "}"
 
 
@@ -130,6 +127,8 @@ def _parse_phi(expr: str) -> GaussPoly:
 
 def _parse_vector(text: str) -> tuple:
     try:
+        if any(map(_huge_exponent, text.split(","))):
+            raise ValueError(f"decimal exponent beyond the limit ({_MAX_EXPONENT})")
         return tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad vector {text!r}: {exc}") from None

@@ -188,7 +188,10 @@ def round_multiples(r: int, ratios) -> list[float]:
     rounds the exact quotient, so the result does not depend on whether P/Q
     is in lowest terms and equals float(Fraction(r*P, Q)) bit for bit.
     """
-    return [r * p / q for p, q in ratios]
+    try:
+        return [r * p / q for p, q in ratios]
+    except OverflowError:
+        raise ValueError("exact value is beyond the float range (above 1.8e308)") from None
 
 
 def _check_odd_k(k: int, minimum: int = 3) -> None:

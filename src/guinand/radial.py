@@ -57,7 +57,8 @@ happens only for t below about 10^(-4900/(k-3)), e.g. 1e-270 at k = 21.
 ``radial_ft_quadrature`` is the independent oracle: it integrates
 f(r) s_k(r t) r^(k-1) over [0, R] by adaptive Gauss-Kronrod panels no wider
 than a quarter period of the oscillation, with the cutoff tail bounded by
-the Gaussian envelope; the nested-rule differences certify the error.
+the Gaussian envelope; the nested-rule differences certify the error.  Its
+s_k is the bessel route's (the sphere area at 0), so it reads no beta_jk.
 """
 
 from __future__ import annotations
@@ -437,28 +438,6 @@ def sphere_area(k: int) -> PiScalar:
     return PiScalar.of(Fraction(2 * 2 ** m, double_factorial(k - 2)), m)
 
 
-def _sphere_profile_stable(k: int, u: float) -> float:
-    """s_k(u) with full relative accuracy for all u >= 0.
-
-    Ascending series 2 sum_m (-1)^m pi^(2m+nu+1) u^(2m) / (m! Gamma(m+nu+1))
-    while 2 pi u is small compared to the order (no cancellation there),
-    closed form otherwise.
-    """
-    nu = (k - 2) / 2.0
-    if 2.0 * math.pi * u < nu + 2.0:
-        term = 2.0 * math.pi ** (nu + 1.0) / math.gamma(nu + 1.0)
-        total = term
-        m = 0
-        x = -(math.pi * u) ** 2
-        while True:
-            term *= x / ((m + 1.0) * (m + 1.0 + nu))
-            total += term
-            m += 1
-            if abs(term) < 1e-18 * abs(total) + 1e-320:
-                return total
-    return sphere_ft_closed(k, u) if k >= 3 else 2.0 * math.cos(2.0 * math.pi * u)
-
-
 # --------------------------------------------------------------------------
 # radial transform
 # --------------------------------------------------------------------------
@@ -541,35 +520,30 @@ def _gk15(fn, a: float, b: float):
     half = 0.5 * (b - a)
     fk = 0j
     fg = 0j
-    for i, x in enumerate(_GK_NODES):
-        if x == 0.0:
-            v = fn(mid)
-            fk += _GK_WK[i] * v
-            fg += _GK_WG[3] * v
-        else:
-            v = fn(mid - half * x) + fn(mid + half * x)
-            fk += _GK_WK[i] * v
-            if i % 2 == 1:
-                fg += _GK_WG[i // 2] * v
+    for i, x in enumerate(_GK_NODES):  # the Gauss nodes are the odd i, 0.0 last
+        v = fn(mid) if x == 0.0 else fn(mid - half * x) + fn(mid + half * x)
+        fk += _GK_WK[i] * v
+        if i % 2 == 1:
+            fg += _GK_WG[i // 2] * v
     return fk * half, modulus((fk - fg) * half)
 
 
-def _gaussian_cutoff(f: GaussPoly, k: int, bound: float) -> float:
-    """R with integral_R^inf |f|(r) r^(k-1) dr * (sphere area cap) < bound.
+def _gaussian_cutoff(f: GaussPoly, k: int, area: float, bound: float) -> float:
+    """R with integral_R^inf |f|(r) r^(k-1) dr * area < bound, area = |s_k| max.
 
     Uses integral_R^inf r^p e^(-pi a r^2) dr <= R^p e^(-pi a R^2)/(2 pi a R)
     for R past the integrand's peak; QuadratureError if the tail is not finite.
     """
-    area_cap = sphere_area(k).to_float() if k >= 3 else 2.0
     pieces = f.envelope(k - 1)
-    if not pieces:
-        return 1.0
     R = 1.0
     for c, p, a in pieces:
         R = max(R, math.sqrt((p + 1) / (2.0 * math.pi * a)) + 1.0)
     while True:
-        tail = sum(c * R ** p * math.exp(-math.pi * a * R * R) / (2.0 * math.pi * a * R)
-                   for c, p, a in pieces) * area_cap
+        try:
+            tail = sum(c * R ** p * math.exp(-math.pi * a * R * R) / (2.0 * math.pi * a * R)
+                       for c, p, a in pieces) * area
+        except OverflowError:
+            tail = math.inf
         if tail < bound:
             return R
         if not math.isfinite(tail):
@@ -581,6 +555,7 @@ def radial_ft_quadrature(f: GaussPoly, k: int, t: float, tol: float = 1e-10,
                          *, max_panels: int = 4096) -> complex:
     """Oracle route: adaptive quadrature of integral_0^inf f(r) s_k(r t) r^(k-1) dr.
 
+    s_k is ``sphere_ft_bessel`` (``sphere_area`` at r t = 0): no beta_jk enters.
     Initial panels are no wider than a quarter period of the oscillation at
     frequency t; panels split greedily by largest nested-rule difference
     until the certified error (sum of |K15-G7| plus the cutoff tail bound)
@@ -591,11 +566,13 @@ def radial_ft_quadrature(f: GaussPoly, k: int, t: float, tol: float = 1e-10,
     if tol < 1e-12:
         raise ValueError(f"tolerance must be >= 1e-12, got {tol}")
     u = abs(t)
+    area = sphere_area(k).to_float()
     cutoff_budget = tol * 1e-3
-    R = _gaussian_cutoff(f, k, cutoff_budget)
+    R = _gaussian_cutoff(f, k, area, cutoff_budget)
 
     def integrand(r: float) -> complex:
-        return f.eval(r) * _sphere_profile_stable(k, r * u) * r ** (k - 1)
+        x = r * u  # may underflow to 0 for t != 0: s_k(0) is the area
+        return f.eval(r) * (sphere_ft_bessel(k, x) if x else area) * r ** (k - 1)
 
     width = min(0.5, 0.25 / u) if u > 0 else 0.5
     n0 = max(1, math.ceil(R / width))

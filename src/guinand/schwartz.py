@@ -270,12 +270,8 @@ class GaussPoly(Frozen):
                 deg = len(coeffs) - 1
                 new = []
                 for m in range(deg + 2):
-                    c = 0
-                    if m + 1 <= deg:
-                        c = c + (m + 1) * coeffs[m + 1]
-                    if m >= 1:
-                        c = c - two_pi_a * coeffs[m - 1]
-                    new.append(c)
+                    c = 0 + (m + 1) * coeffs[m + 1] if m < deg else 0
+                    new.append(c - two_pi_a * coeffs[m - 1] if m else c)
                 out.append((a, new))
             f = GaussPoly(out, exact=f.exact)
         return f
@@ -339,14 +335,10 @@ class GaussPoly(Frozen):
         return GaussPoly(_divide_out_power(self.terms, None, 1), exact=self.exact)
 
     def is_odd(self) -> bool:
-        return all(c == 0
-                   for _, coeffs in self.terms
-                   for m, c in enumerate(coeffs) if m % 2 == 0)
+        return all(c == 0 for _, coeffs in self.terms for c in coeffs[0::2])
 
     def is_even(self) -> bool:
-        return all(c == 0
-                   for _, coeffs in self.terms
-                   for m, c in enumerate(coeffs) if m % 2 == 1)
+        return all(c == 0 for _, coeffs in self.terms for c in coeffs[1::2])
 
     def envelope(self, shift: int = 0) -> list[tuple[float, int, float]]:
         """Pieces (|c_m|, m + shift, a) over the nonzero coefficients, as
@@ -436,6 +428,27 @@ def _tokenize(src: str):
     return tokens
 
 
+_MAX_EXPONENT = sys.int_info.default_max_str_digits  # Python's int(str) digit limit
+
+
+def _huge_exponent(literal: str) -> int:
+    """The sign of a decimal exponent beyond +-_MAX_EXPONENT in literal (for
+    which Fraction(literal) would build 10^|exponent|), else 0."""
+    m = re.search(r"[eE]([-+]?)([\d_]+)", literal)
+    if m is None or int(m[2].replace("_", "").lstrip("0")[:5] or 0) <= _MAX_EXPONENT:
+        return 0
+    return -1 if m[1] == "-" else 1
+
+
+def _finite(value: dict, pos: int) -> dict:
+    """value, or ParseError at pos where the operation there left the float range."""
+    if math.inf in value:
+        raise ParseError("Gaussian scale is beyond the float range", pos)
+    if not all(all(map(cmath.isfinite, coeffs)) for coeffs in value.values()):
+        raise ParseError("coefficient is beyond the float range", pos)
+    return value
+
+
 class _Parser:
     """Recursive descent over the grammar; values are dicts a -> coeff list,
     where a == 0.0 marks a plain polynomial part."""
@@ -469,7 +482,7 @@ class _Parser:
         if neg:
             value = _mul_terms([(0.0, [complex(-1.0)])], value.items())
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind != "op" or val not in "+-":
                 return value
             self.next()
@@ -481,7 +494,7 @@ class _Parser:
                 old = left.get(a, [])
                 left[a] = old + [0j] * (len(coeffs) - len(old))
                 right.append((a, [sign * c for c in coeffs]))
-            value = _add_terms([*left.items(), *right])
+            value = _finite(_add_terms([*left.items(), *right]), pos)
 
     def parse_term(self):
         value = self.parse_unary()
@@ -491,14 +504,14 @@ class _Parser:
                 self.next()
                 rhs = self.parse_unary()
                 if val == "*":
-                    value = _mul_terms(value.items(), rhs.items())
+                    value = _finite(_mul_terms(value.items(), rhs.items()), pos)
                 else:
                     if set(rhs) != {0.0} or len(rhs[0.0]) != 1:
                         raise ParseError("division is only defined by constants", pos)
                     divisor = rhs[0.0][0]
                     if divisor == 0:
                         raise ParseError("division by zero", pos)
-                    value = _mul_terms(value.items(), [(0.0, [1.0 / divisor])])
+                    value = _finite(_mul_terms(value.items(), [(0.0, [1.0 / divisor])]), pos)
             else:
                 return value
 
@@ -555,6 +568,9 @@ class _Parser:
         while True:
             kind, val, pos = self.next()
             if kind == "num":
+                if huge := _huge_exponent(val):
+                    where = "beyond" if (huge > 0) != dividing else "below"
+                    raise ParseError(f"Gaussian scale is {where} the float range", exp_pos)
                 q = q / Fraction(val) if dividing else q * Fraction(val)
             elif kind == "name" and val == "pi":
                 pi_pow += -1 if dividing else 1

@@ -20,9 +20,11 @@ The fixed lines of ``EDGE_CASES`` go in under ``edge/<name>`` keys: they
 reach the signs of zero and the overflows that the benchmark's test
 functions, all with positive real coefficients, never produce, the
 quadrature cutoffs of such overflows, the Bessel-polynomial route of
-``sphere-ft`` at large k, and the paths of the coefficient algebra (colliding
+``sphere-ft`` at large k, the paths of the coefficient algebra (colliding
 scales, longer right operands, division by i, nested minus, /pi scales) that
-no benchmark test function takes.
+no benchmark test function takes, the quadrature at t = 0 and at an
+underflowing t, and the refusals of k past the float range, of parse results
+beyond it and of decimal exponents past Python's digit limit.
 To compare with a checkout that lacks this script or that file, copy both in.
 
 The file is not collected by pytest (its name does not start with test_).
@@ -113,6 +115,27 @@ EDGE_CASES = {
                              "t*exp(-t^2/pi) + t^3*exp(-pi*t^2/pi)", "--nmax", "300"],
     "radial-ft-scale-over-pi": ["radial-ft", "--k", "5", "--f",
                                 "exp(-t^2/pi) - -t^2*exp(-2*t^2/pi)", "--t", "0.7"],
+    # the quadrature's sphere profile: the area at t = 0, Miller's range of
+    # the Bessel route at k = 21, and an r t that underflows to 0
+    "radial-ft-quadrature-k21-grid": ["radial-ft", "--k", "21", "--f", f"(1 + t^2)*{_G}",
+                                      "--t-grid", "0:3:0.5", "--methods", "closed,quadrature"],
+    "radial-ft-quadrature-t-underflow": ["radial-ft", "--k", "7", "--f", _G, "--t", "5e-324",
+                                         "--methods", "quadrature"],
+    # k past the float range of beta_jk, of r_k(n) beta_jk and of the cutoff
+    "coeffs-k441-float": ["coeffs", "--k", "441", "--format", "float"],
+    "verify-k441": ["verify", "--k", "441", "--phi", f"t*{_G}", "--nmax", "10"],
+    "duality-k439": ["duality", "--k", "439", "--phi", f"t*{_G}", "--nmax", "10"],
+    "radial-ft-k441": ["radial-ft", "--k", "441", "--f", _G, "--t", "1"],
+    "radial-ft-quadrature-k341": ["radial-ft", "--k", "341", "--f", _G, "--t", "1",
+                                  "--methods", "quadrature"],
+    # parse results beyond the float range, and exponents past the digit limit
+    "verify-nan-constant": ["verify", "--k", "7", "--phi",
+                            f"(1e308*10-1e308*10)*t*{_G}", "--nmax", "50"],
+    "verify-scale-product-overflow": ["verify", "--k", "3", "--phi",
+                                      "t*exp(-pi*1e308*t^2)*exp(-pi*1e308*t^2)"],
+    "verify-huge-scale-exponent": ["verify", "--k", "3", "--phi", "t*exp(-pi*1e-5000*t^2)"],
+    "verify-shifted-huge-exponent": ["verify-shifted", "--k", "3", "--eta", "1e-5000,1/2,0",
+                                     "--xi", "0,1/3,0", "--phi", f"t*{_G}"],
 }
 
 

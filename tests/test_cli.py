@@ -6,10 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
-from guinand.cli import main
+from guinand.cli import _parse_vector, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -478,10 +480,79 @@ def test_nan_sums_exit_1_whatever_errno_holds(argv, capsys):
         assert (code, out, err) == (1, "", "error: non-finite value nan in report\n")
 
 
-@pytest.mark.parametrize("f", ["1e308*exp(-pi*t^2/1000)", "(1e308*10-1e308*10)*exp(-pi*t^2)"],
-                         ids=["overflow", "nan"])
-def test_quadrature_cutoff_beyond_the_float_range_exits_1(f, capsys):
+@pytest.mark.parametrize("f,expected", [
+    ("1e308*exp(-pi*t^2/1000)", None),
+    # the parser refuses 1e308*10 at its '*', so no NaN coefficient reaches the
+    # cutoff; test_radial keeps the NaN cutoff under test on a GaussPoly
+    ("(1e308*10-1e308*10)*exp(-pi*t^2)",
+     "parse error at byte 6: coefficient is beyond the float range\n"),
+], ids=["overflow", "nan"])
+def test_quadrature_cutoff_beyond_the_float_range_exits_1(f, expected, capsys):
     code, out, err = run(["radial-ft", "--k", "3", "--f", f, "--t", "1",
                           "--methods", "quadrature"], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: cutoff tail bound ") and err.endswith(" is not finite\n")
+    if expected is None:
+        assert err.startswith("error: cutoff tail bound ") and err.endswith(" is not finite\n")
+    else:
+        assert err == expected
+
+
+# beyond k ~ 440 beta_jk (and from k = 439 the shell weights r_k(n) beta_jk)
+# exceed the float range; from k ~ 340 the quadrature cutoff's R^(k-1) does
+LARGE_K = {
+    "coeffs": ["coeffs", "--k", "441", "--format", "float"],
+    "verify": ["verify", "--k", "441", "--phi", "t*exp(-pi*t^2)", "--nmax", "10"],
+    "duality-441": ["duality", "--k", "441", "--phi", "t*exp(-pi*t^2)", "--nmax", "10"],
+    "duality-439": ["duality", "--k", "439", "--phi", "t*exp(-pi*t^2)", "--nmax", "10"],
+    "radial-ft": ["radial-ft", "--k", "441", "--f", "exp(-pi*t^2)", "--t", "1"],
+    "radial-ft-quadrature": ["radial-ft", "--k", "341", "--f", "exp(-pi*t^2)", "--t", "1",
+                             "--methods", "quadrature"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_K))
+def test_large_k_exits_1_without_traceback(name, capsys):
+    code, out, err = run(LARGE_K[name], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err or "is not finite" in err
+
+
+@pytest.mark.parametrize("phi,offset,what", [
+    ("(1e308*10-1e308*10)*t*exp(-pi*t^2)", 6, "coefficient"),
+    ("(1e308+1e308)*t*exp(-pi*t^2)", 6, "coefficient"),
+    ("t*exp(-pi*t^2)/1e-320", 14, "coefficient"),
+    ("t*exp(-pi*1e308*t^2)*exp(-pi*1e308*t^2)", 20, "Gaussian scale"),
+], ids=["nan-constant", "sum", "quotient", "scale-product"])
+def test_non_finite_parse_results_exit_1_at_the_operation(phi, offset, what, capsys):
+    code, out, err = run(["verify", "--k", "7", "--phi", phi, "--nmax", "50"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"parse error at byte {offset}: {what} is beyond the float range\n"
+
+
+@pytest.mark.parametrize("argv,err_start", [
+    (["verify", "--k", "3", "--phi", "t*exp(-pi*1e1000000*t^2)"],
+     "parse error at byte 2: Gaussian scale is beyond the float range"),
+    (["verify", "--k", "3", "--phi", "t*exp(-pi*1e-1000000*t^2)"],
+     "parse error at byte 2: Gaussian scale is below the float range"),
+    (["verify", "--k", "3", "--phi", "t*exp(-pi*t^2/1e1000000)"],
+     "parse error at byte 2: Gaussian scale is below the float range"),
+    (["verify-shifted", "--k", "3", "--eta", "1e-5000,1/2,0", "--xi", "0,1/3,0",
+      "--phi", "t*exp(-pi*t^2)"], "error: bad vector '1e-5000,1/2,0': "),
+    (["verify-shifted", "--k", "3", "--eta", "1/2,0,0", "--xi", "0,1e1_0000,1/3",
+      "--phi", "t*exp(-pi*t^2)"], "error: bad vector '0,1e1_0000,1/3': "),
+], ids=["scale-big", "scale-small", "scale-divisor", "eta", "xi-underscores"])
+def test_huge_exponents_are_refused_at_once(argv, err_start, capsys):
+    # Fraction would build 10^|exponent| first; past Python's int(str) digit
+    # limit (4300) the literal is refused before it does
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.startswith(err_start) and err.count("\n") == 1
+    assert elapsed < 0.05
+
+
+def test_exponents_up_to_the_digit_limit_are_read():
+    assert _parse_vector("1e-4300, 1e4_300,1E+04300") == (
+        Fraction(1, 10 ** 4300), Fraction(10 ** 4300), Fraction(10 ** 4300))

@@ -16,6 +16,7 @@ from guinand.radial import (
     sphere_ft_value,
 )
 from guinand.schwartz import GaussPoly, PiScalar, parse
+from oracles import radial_ft_fubini
 
 # frozen 50-digit references for the sphere profile (mpmath besselj route)
 S_9_AT_2 = 0.1131264237919135424089
@@ -247,13 +248,13 @@ def test_sphere_routes_at_large_k_against_mpmath():
 
 def test_routes_call_no_other_route(monkeypatch):
     # every route looks its helpers up as module globals, so replacing the
-    # other routes and the quadrature's stable profile catches any call
+    # other routes catches any call
     routes = dict(SPHERE_METHODS)
 
     def forbidden(*args):
         raise AssertionError("a route called another route")
 
-    for name in ["_sphere_profile_stable", *(fn.__name__ for fn in routes.values())]:
+    for name in [fn.__name__ for fn in routes.values()]:
         monkeypatch.setattr(radial, name, forbidden)
     for fn in routes.values():
         for t in (0.001, 0.1, 0.7, 3.0):
@@ -322,12 +323,12 @@ def test_radial_transform_gaussian_exact():
 
 
 @st.composite
-def exact_even_fs(draw):
+def exact_even_fs(draw, max_even=3):
     terms = []
     for a in draw(st.lists(st.sampled_from(SQUARE_SCALES), min_size=1, max_size=2,
                            unique=True)):
         even = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
-                             min_size=1, max_size=3))
+                             min_size=1, max_size=max_even))
         poly = [0] * (2 * len(even) - 1)
         poly[::2] = even
         terms.append((a, poly))
@@ -339,6 +340,40 @@ def exact_even_fs(draw):
 def test_radial_transform_twice_is_identity(f, k):
     once = radial_transform(f, k).scale(MINUS_ONE_OVER_2PI)
     assert radial_transform(once, k).scale(MINUS_ONE_OVER_2PI) == f
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(exact_even_fs(max_even=5), st.sampled_from(range(3, 42, 2)))
+def test_radial_transform_matches_the_beta_free_oracle(f, k):
+    # G from 1-D transforms and Gaussian moments (tests/oracles.py) against
+    # -H/(2 pi) from the paper's beta_jk, exactly
+    assert radial_ft_fubini(f, k) == radial_transform(f, k).scale(MINUS_ONE_OVER_2PI)
+
+
+def test_quadrature_reaches_no_beta(monkeypatch):
+    # the oracle's s_k is the Bessel route's alone: every other route and
+    # every source of beta_jk raises while it runs
+    fs = [parse("(1 + t^2)*exp(-pi*t^2)").value, GAUSS]
+    expected = {(3, 1.0): radial_ft_closed(fs[0], 3, 1.0),
+                (11, 2.5): radial_ft_closed(fs[0], 11, 2.5),
+                (7, 0.0): radial_ft_zero(fs[1], 7),
+                (21, 0.3): radial_ft_closed(fs[1], 21, 0.3)}
+
+    def forbidden(*args):
+        raise AssertionError("the quadrature reached a beta_jk route")
+
+    for name in ("_beta_floats", "_beta_integers", "betas", "sphere_ft_closed",
+                 "sphere_ft_besselpoly", "sphere_ft_recurrence"):
+        monkeypatch.setattr(radial, name, forbidden)
+    for (k, t), want in expected.items():
+        f = fs[0] if k in (3, 11) else fs[1]
+        assert abs(radial_ft_quadrature(f, k, t) - want) <= 1e-9, (k, t)
+
+
+def test_quadrature_refuses_a_nan_cutoff():
+    # the parser refuses NaN constants, so this path is reached only from the API
+    with pytest.raises(QuadratureError, match="cutoff tail bound nan .* is not finite"):
+        radial_ft_quadrature(GaussPoly([(1.0, [math.nan])]), 3, 1.0)
 
 
 def test_radial_ft_closed_reads_the_operator():

@@ -218,6 +218,29 @@ def test_parse_rejects_gaussian_scales_below_the_float_range():
         assert info.value.offset == 2
 
 
+def test_parse_refuses_operations_that_leave_the_float_range():
+    # at the operation's byte offset, before an inf or NaN is stored
+    for src, offset, what in [("(1e308*10-1e308*10)*exp(-pi*t^2)", 6, "coefficient"),
+                              ("exp(-pi*t^2) + 1e308*exp(-pi*t^2)*10", 33, "coefficient"),
+                              ("(1e200+1e200*i)*(1e200+1e200*i)*exp(-pi*t^2)", 15, "coefficient"),
+                              ("exp(-pi*t^2)/1e-320", 12, "coefficient"),
+                              ("exp(-pi*1e308*t^2)*exp(-pi*1e308*t^2)", 18, "Gaussian scale")]:
+        with pytest.raises(ParseError, match=f"{what} is beyond the float range") as info:
+            parse(src)
+        assert info.value.offset == offset, src
+    assert parse("1e308*exp(-pi*t^2)*1.5").value == gauss_term(1, [1.5e308])
+
+
+def test_parse_bounds_decimal_exponents_before_building_them():
+    # 1e4300 and 1e-4300 are read exactly; one more exponent digit is refused
+    assert parse("t*exp(-pi*1e-4300*1e4300*t^2)").value == parse("t*exp(-pi*t^2)").value
+    for src, where in [("t*exp(-pi*1e4301*t^2)", "beyond"), ("t*exp(-pi*1e-4301*t^2)", "below"),
+                       ("t*exp(-pi*t^2/1e4301)", "below"), ("t*exp(-pi*t^2/1e-4301)", "beyond")]:
+        with pytest.raises(ParseError, match=f"Gaussian scale is {where} the float range") as info:
+            parse(src)
+        assert info.value.offset == 2, src
+
+
 def test_parse_zero_is_fine():
     assert parse("0").value.is_zero
     assert parse("0*t*exp(-pi*t^2)").value.is_zero
