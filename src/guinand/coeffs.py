@@ -29,6 +29,7 @@ that identity exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -38,6 +39,12 @@ from .util import Frozen
 
 # 50 decimal digits of pi; used only when converting exact values to float.
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937511")
+
+
+@functools.lru_cache(maxsize=256)
+def _pi_50_power(e: int) -> Fraction:
+    """PI_50 ** e, built once per exponent: all beta_jk of one k share theirs."""
+    return PI_50 ** e
 
 
 def double_factorial(n: int) -> int:
@@ -125,7 +132,7 @@ class PiScalar(Frozen):
         """(real, imaginary) parts of the value at pi = PI_50, exactly."""
         re_ = im_ = Fraction(0)
         for e, (r, i) in self.parts.items():
-            scale = PI_50 ** e
+            scale = _pi_50_power(e)
             re_ += r * scale
             im_ += i * scale
         return re_, im_

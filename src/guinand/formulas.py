@@ -42,14 +42,16 @@ right) times the shell series with origin weight 0 and phase-sum weights.
 Lattice points are enumerated in integers scaled by D, the shift's common
 denominator: shells are D^2 |m+eta|^2, phases <m,xi> mod 1 integer residues.
 
-Tail policy (ours; the identities themselves say nothing about rates): the
-discarded shells are dominated by r_k(n) <= (2 sqrt(n) + 1)^k times the
+Tail policy (ours; the identities themselves say nothing about rates): a
+discarded shell n > N holds the r_k(n) points of Z^k at radius sqrt(n) >=
+sqrt(N + 1), and a discarded shifted shell the points beyond R, so one
+certificate, ``_radius_tail``, bounds every tail: radius bands [R+j, R+j+1)
+of at most (2(R+j)+5)^k points, each weighted by the band supremum of the
 term's explicit polynomial-times-Gaussian envelope, summed with a geometric
-remainder certificate once the stepwise ratio bound drops below one (within
-_TAIL_STEPS steps, else WorkCapExceeded is raised); the lattice tails of the
-shifted case run the same loop, ``_geometric_tail``, over radius bands.  The
-right-hand tails use the envelope of Q, so the beta_j pieces that cancel in
-it are never bounded one by one.  Bounds below 1e-300 are clamped to zero.  |lhs - rhs| is
+remainder once the bandwise ratio bound drops below one (within _TAIL_STEPS
+bands, else WorkCapExceeded is raised).  The right-hand tails use the
+envelope of Q, so the beta_j pieces that cancel in it are never bounded one
+by one.  Bounds below 1e-300 are clamped to zero.  |lhs - rhs| is
 ``util.modulus``: NaN for a sum that is not finite, in any evaluation order.
 """
 
@@ -212,7 +214,7 @@ def _verify(k: int, phi: GaussPoly, N: int, *, shell_rows: bool = False,
         abs_residual=modulus(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
         tail_bound_lhs=tail_bound(k, phi, N),
-        tail_bound_rhs=_sqrtn_tail(k, q.envelope(0), N),
+        tail_bound_rhs=_radius_tail(k, q.envelope(0), math.sqrt(N + 1)),
         terms_used=len(lhs_terms) - 1,
         truncation={"N": N},
     )
@@ -240,55 +242,49 @@ def shell_table(k: int, phi: GaussPoly, N: int) -> list[dict]:
 # tail certificates
 # --------------------------------------------------------------------------
 
-def _geometric_tail(pieces, step, where) -> float:
-    """Sum over envelope pieces (C, p, a) of g, for (g, ratio) = step(C, p, a, j)
-    and j = 0, 1, ...: C = 0 adds nothing, g = 0 ends the piece, and at the
-    first ratio (a bound on each later step) below 1 the rest is g / (1 - ratio).
-    No end within _TAIL_STEPS terms raises WorkCapExceeded, naming where()."""
+def _radius_tail(k: int, pieces, R: float) -> float:
+    """Certified bound on the sum over the points of Z^k, or of a shifted
+    Z^k, at radius u >= R of C u^p e^(-pi a u^2), summed over envelope pieces
+    (C, p, a).
+
+    Band j covers radii [R+j, R+j+1); it holds at most (2(R+j)+5)^k lattice
+    points (each coordinate of a point within radius R+j+1 ranges over an
+    interval of length 2(R+j+1)), each weighted by the band supremum of
+    u^p times the Gaussian envelope (the envelope supremum sits at the left
+    edge once past its peak, at the peak before that; u^p takes whichever
+    edge its sign makes larger).  Terms drop like e^(-pi a (2u+1)) once past
+    the peak, so at the first band whose ratio bound (a bound on each later
+    step) is below 1 the rest is its term / (1 - ratio).  No end within
+    _TAIL_STEPS bands raises WorkCapExceeded.
+    """
     total = 0.0
     for C, p, a in pieces:
-        if C == 0.0:
-            continue
+        peak = math.sqrt(max(p, 0) / (2.0 * math.pi * a)) if p > 0 else 0.0
         sub = 0.0
         for j in range(_TAIL_STEPS):
-            g, ratio = step(C, p, a, j)
+            lo = R + j
+            env_at = max(lo, peak)
+            g = C * (2.0 * lo + 5.0) ** k * (lo ** p if p < 0 else (lo + 1.0) ** p) \
+                * math.exp(-math.pi * a * env_at * env_at)
             if g == 0.0:
                 break
+            ratio = ((2.0 * lo + 7.0) / (2.0 * lo + 5.0)) ** k * ((lo + 2.0) / (lo + 1.0)) \
+                ** max(p, 0) * math.exp(-math.pi * a * (2.0 * lo + 1.0)) if lo > peak else math.inf
             if ratio < 1.0:
                 sub += g / (1.0 - ratio)
                 break
             sub += g
         else:
-            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} {where()}")
+            raise WorkCapExceeded(f"no tail certificate within {_TAIL_STEPS} bands past R={R:g}")
         total += sub
     return 0.0 if total < 1e-300 else total
-
-
-def _sqrtn_tail(k: int, pieces, N: int) -> float:
-    """Certified bound on sum_{n>N} (2 sqrt(n)+1)^k * n^(p/2) * C * e^(-pi a n)
-    over envelope pieces (C, p, a).
-
-    Uses r_k(n) <= (2 sqrt(n)+1)^k.  Stepwise, the ratio of consecutive
-    terms is at most ((2 sqrt(n+1)+1)/(2 sqrt(n)+1))^k * ((n+1)/n)^(max(p,0)/2)
-    * e^(-pi a); once that bound drops below 1 the remainder is dominated by
-    a geometric series.
-    """
-    def step(C, p, a, j):
-        n = N + 1 + j
-        g = C * (2.0 * math.sqrt(n) + 1.0) ** k * math.pow(n, p / 2.0) * math.exp(-math.pi * a * n)
-        if g == 0.0:
-            return g, math.inf
-        return g, ((2.0 * math.sqrt(n + 1) + 1.0) / (2.0 * math.sqrt(n) + 1.0)) ** k \
-            * ((n + 1.0) / n) ** (max(p, 0) / 2.0) * math.exp(-math.pi * a)
-
-    return _geometric_tail(pieces, step, lambda: f"shells past N={N}")
 
 
 def tail_bound(k: int, f: GaussPoly, N: int) -> float:
     """Certified bound on the discarded left-hand tail
     sum_{n>N} r_k(n) n^(-1/2) |f|(sqrt n)."""
     _check_odd_k(k)
-    return _sqrtn_tail(k, f.envelope(-1), N)
+    return _radius_tail(k, f.envelope(-1), math.sqrt(N + 1))
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +397,8 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
     sigma_hat against psi equals <sigma, psi_hat> = -<sigma, phi> because
     psi_hat is the reflection of phi and sigma is odd.  Both pair +-v to
     twice the term at +v, so each side is 2 times the series of ``verify``
-    with the phase sums as shell weights and no origin term.
+    with the phase sums as shell weights and no origin term, and its tail
+    bound takes the envelope pieces with C doubled.
     """
     _check_odd_k(k)
     eta, xi = _check_shift(k, eta), _check_shift(k, xi)
@@ -422,34 +419,8 @@ def verify_shifted(k: int, eta, xi, phi: GaussPoly,
         rhs=rhs,
         abs_residual=modulus(lhs - rhs),
         rel_residual=rel_diff(lhs, rhs),
-        tail_bound_lhs=_radius_tail(k, phi.envelope(-1), R_time),
-        tail_bound_rhs=_radius_tail(k, q.envelope(0), R_freq),
+        tail_bound_lhs=_radius_tail(k, [(2 * C, p, a) for C, p, a in phi.envelope(-1)], R_time),
+        tail_bound_rhs=_radius_tail(k, [(2 * C, p, a) for C, p, a in q.envelope(0)], R_freq),
         terms_used=len(lhs_terms) + len(rhs_terms) - 2,
         truncation={"R_time": float(R_time), "R_freq": float(R_freq)},
     )
-
-
-def _radius_tail(k: int, pieces, R: float) -> float:
-    """Certified bound for lattice tails beyond radius R.
-
-    Band j covers radii [R+j, R+j+1); it holds at most (2(R+j)+5)^k lattice
-    points (each coordinate of a point within radius R+j+1 ranges over an
-    interval of length 2(R+j+1)), each weighted by the band supremum of
-    u^p times the Gaussian envelope (the envelope supremum sits at the left
-    edge once past its peak, at the peak before that; u^p takes whichever
-    edge its sign makes larger).  Terms drop like e^(-pi a (2u+1)) once past
-    the peak, so a geometric certificate finishes the sum.
-    """
-    def step(C, p, a, j):
-        lo = R + j
-        peak = math.sqrt(max(p, 0) / (2.0 * math.pi * a)) if p > 0 else 0.0
-        env_at = max(lo, peak)
-        g = 2.0 * C * (2.0 * lo + 5.0) ** k * (lo ** p if p < 0 else (lo + 1.0) ** p) \
-            * math.exp(-math.pi * a * env_at * env_at)
-        if g == 0.0 or not lo > peak:
-            return g, math.inf
-        return g, ((2.0 * lo + 7.0) / (2.0 * lo + 5.0)) ** k \
-            * ((lo + 2.0) / (lo + 1.0)) ** max(p, 0) * math.exp(-math.pi * a * (2.0 * lo + 1.0))
-
-    return _geometric_tail(pieces, step, lambda: f"bands past R={R:g}")
-

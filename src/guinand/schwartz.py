@@ -429,6 +429,10 @@ def _tokenize(src: str):
 
 
 _MAX_EXPONENT = sys.int_info.default_max_str_digits  # Python's int(str) digit limit
+# The parser refuses a polynomial degree past this before building any list:
+# at scale 1 a degree near it already overflows in ``fourier``.
+_MAX_DEGREE = 1000
+_DEGREE_ERROR = f"polynomial degree is beyond the limit ({_MAX_DEGREE})"
 
 
 def _huge_exponent(literal: str) -> int:
@@ -504,6 +508,9 @@ class _Parser:
                 self.next()
                 rhs = self.parse_unary()
                 if val == "*":
+                    if max(map(len, value.values())) + max(map(len, rhs.values())) - 2 \
+                            > _MAX_DEGREE:
+                        raise ParseError(_DEGREE_ERROR, pos)
                     value = _finite(_mul_terms(value.items(), rhs.items()), pos)
                 else:
                     if set(rhs) != {0.0} or len(rhs[0.0]) != 1:
@@ -544,7 +551,10 @@ class _Parser:
                     k3, v3, p3 = self.next()
                     if k3 != "num" or not v3.isdigit():
                         raise ParseError("exponent must be a nonnegative integer", p3)
-                    power = int(v3)
+                    digits = v3.lstrip("0")
+                    if len(digits) > len(str(_MAX_DEGREE)) or int(digits or 0) > _MAX_DEGREE:
+                        raise ParseError(_DEGREE_ERROR, p3)
+                    power = int(digits or 0)
                 return {0.0: [0j] * power + [1 + 0j]}
             if val == "exp":
                 return self.parse_exp(pos)

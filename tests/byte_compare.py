@@ -23,8 +23,10 @@ quadrature cutoffs of such overflows, the Bessel-polynomial route of
 ``sphere-ft`` at large k, the paths of the coefficient algebra (colliding
 scales, longer right operands, division by i, nested minus, /pi scales) that
 no benchmark test function takes, the quadrature at t = 0 and at an
-underflowing t, and the refusals of k past the float range, of parse results
-beyond it and of decimal exponents past Python's digit limit.
+underflowing t, the refusals of k past the float range, of parse results
+beyond it, of decimal exponents past Python's digit limit and of polynomial
+degrees past the parser's, and ``verify`` tails of wide Gaussians up to the
+band cap of their certificate.
 To compare with a checkout that lacks this script or that file, copy both in.
 
 The file is not collected by pytest (its name does not start with test_).
@@ -136,6 +138,18 @@ EDGE_CASES = {
     "verify-huge-scale-exponent": ["verify", "--k", "3", "--phi", "t*exp(-pi*1e-5000*t^2)"],
     "verify-shifted-huge-exponent": ["verify-shifted", "--k", "3", "--eta", "1e-5000,1/2,0",
                                      "--xi", "0,1/3,0", "--phi", f"t*{_G}"],
+    # tails of wide Gaussians: certified only by radius bands, certified, and
+    # past the band cap
+    "verify-tail-wide-k3": ["verify", "--k", "3", "--phi", "t*exp(-pi*t^2/1000000)",
+                            "--nmax", "400"],
+    "verify-tail-k11": ["verify", "--k", "11", "--phi", "t*exp(-pi*t^2/100)", "--nmax", "1000"],
+    "verify-tail-cap": ["verify", "--k", "3", "--phi", "t*exp(-pi*t^2/100000000000)",
+                        "--nmax", "400"],
+    # polynomial degrees past the parser's limit, and one pi power shared by all beta_jk
+    "verify-degree-power": ["verify", "--k", "3", "--phi", f"t^2000000*{_G}"],
+    "verify-degree-product": ["verify", "--k", "3", "--phi", f"t^600*t^401*{_G}"],
+    "verify-degree-digits": ["verify", "--k", "3", "--phi", "t^" + "9" * 5000 + f"*{_G}"],
+    "duality-k401": ["duality", "--k", "401", "--phi", f"t*{_G}", "--nmax", "10"],
 }
 
 

@@ -449,7 +449,7 @@ def test_verify_csv_sums_each_side_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--k", "3", "--phi", "t*exp(-pi*t^2/1000000000)", "--nmax", "400"],
+    ["verify", "--k", "3", "--phi", "t*exp(-pi*t^2/100000000000)", "--nmax", "400"],
     ["verify-shifted", "--k", "3", "--eta", "1/2,0,0", "--xi", "0,1/3,0",
      "--phi", "t*exp(-pi*t^2/100000000000)", "--r-time", "2", "--r-freq", "2"],
 ], ids=["verify", "verify-shifted"])
@@ -556,3 +556,20 @@ def test_huge_exponents_are_refused_at_once(argv, err_start, capsys):
 def test_exponents_up_to_the_digit_limit_are_read():
     assert _parse_vector("1e-4300, 1e4_300,1E+04300") == (
         Fraction(1, 10 ** 4300), Fraction(10 ** 4300), Fraction(10 ** 4300))
+
+
+@pytest.mark.parametrize("phi,offset", [
+    ("t^2000000*exp(-pi*t^2)", 2),
+    ("t^2000*t^2000*exp(-pi*t^2)", 2),
+    ("t^" + "9" * 5000 + "*exp(-pi*t^2)", 2),
+    ("t^600*t^401*exp(-pi*t^2)", 5),
+], ids=["power", "product-of-powers", "5000-digit-power", "product"])
+def test_polynomial_degree_past_the_limit_is_refused_at_once(phi, offset, capsys):
+    # the exponent is checked by its digit count before int() and a product's
+    # degree before any coefficient list is built
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--k", "3", "--phi", phi], capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err == f"parse error at byte {offset}: polynomial degree is beyond the limit (1000)\n"
+    assert elapsed < 0.05

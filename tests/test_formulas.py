@@ -205,15 +205,32 @@ def test_tail_bound_monotone():
     assert tail_bound(9, phi, 100) >= tail_bound(9, phi, 200)
 
 
-def test_tail_bound_actually_bounds():
+@pytest.mark.parametrize("width", [4, 20])
+@pytest.mark.parametrize("k", [3, 5, 9])
+def test_tail_bound_actually_bounds(k, width):
     # compare the certificate against the directly summed discarded terms
-    phi = parse("t*exp(-pi*t^2/4)").value
-    from guinand.sumsq import rk_table
+    phi = parse(f"t*exp(-pi*t^2/{width})").value
     N, M = 20, 60
-    table = rk_table(3, M)
+    table = rk_table(k, M)
     discarded = sum(table.counts[n] / math.sqrt(n) * abs(phi.eval(math.sqrt(n)))
                     for n in range(N + 1, M + 1))
-    assert tail_bound(3, phi, N) >= discarded
+    assert tail_bound(k, phi, N) >= discarded
+
+
+@pytest.mark.parametrize("k, width, N", [(3, 1000000, 400), (11, 100, 1000), (5, 20, 100)])
+def test_tail_bound_covers_exact_tail(k, width, N):
+    # for phi = t e^(-pi a t^2) the discarded tail is sum_{n>N} r_k(n) e^(-pi a n)
+    # = theta(a)^k - 1 - sum_{1<=n<=N} r_k(n) e^(-pi a n), with theta(a) =
+    # sum_m e^(-pi a m^2) = a^(-1/2) theta(1/a) (Jacobi), at 40 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.mpf(1) / width
+        theta = mp.jtheta(3, 0, mp.exp(-mp.pi * width)) / mp.sqrt(a)
+        counts = rk_table(k, N).counts
+        exact = theta ** k - 1 - mp.fsum(counts[n] * mp.exp(-mp.pi * a * n)
+                                         for n in range(1, N + 1))
+        assert exact > 0
+        assert tail_bound(k, parse(f"t*exp(-pi*t^2/{width})").value, N) >= exact
 
 
 def test_rhs_tail_bounds_cover_discarded_terms():

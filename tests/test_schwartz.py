@@ -241,6 +241,12 @@ def test_parse_bounds_decimal_exponents_before_building_them():
         assert info.value.offset == 2, src
 
 
+def test_parse_reads_polynomial_degrees_up_to_the_limit():
+    # 1000 is the parser's limit; the refusals past it are tested in test_cli.py
+    for src in ("t^1000*exp(-pi*t^2)", "t^0001000*exp(-pi*t^2)", "t^600*(t^400+1)*exp(-pi*t^2)"):
+        assert parse(src).value.envelope()[-1][1] == 1000, src
+
+
 def test_parse_zero_is_fine():
     assert parse("0").value.is_zero
     assert parse("0*t*exp(-pi*t^2)").value.is_zero
